@@ -3,8 +3,7 @@
 Finite linear quotients [A^n / G] sector by sector (Molien series against a
 brute-force oracle), weighted projective stacks in closed form, and
 chain-level verifiers for the filtered circle.  All arithmetic is exact:
-rationals, cyclotomic fields, and integer Smith normal form; no floats
-anywhere.
+rationals and integer Smith normal form; no floats anywhere.
 """
 
 __version__ = "0.1.0"
@@ -12,12 +11,11 @@ __version__ = "0.1.0"
 from .circle import (CentralReport, ChainComplex, central_complex,
                      cover_homology, fiber_dimension, gamma_homology,
                      generic_fiber_homology)
-from .exact import (BadRational, BiSeries, ConductorMismatch, Cyclotomic,
-                    IntMatrix, NotInvertible, UniPoly, cyclotomic_arith,
-                    cyclotomic_polynomial, det_series_factor, eigenspace,
-                    format_rational, parse_rational, smith_normal_form)
+from .exact import (BadRational, BiSeries, IntMatrix, NotInvertible,
+                    det_series_factor, format_rational, parse_rational,
+                    smith_normal_form)
 from .groups import (CapExceeded, ConjClass, MatrixGroup, OrderCapExceeded,
-                     conjugacy_classes, exponent, generate)
+                     conjugacy_classes, generate)
 from .hkr import (BasisTooLarge, HHReport, brute_force_invariants,
                   full_report, oracle_verdict, sector_hh_series,
                   sector_hhcoh_series)

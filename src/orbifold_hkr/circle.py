@@ -3,8 +3,8 @@
 Integral homology of the degree-r cofiber Gamma_r and of its r-fold cover,
 fiber dimensions of the coordinate-axes degeneration over A^1, the two-term
 homotopy-limit complex with its cyclic symmetry, and the homotopy colimit
-graph of the generic fiber.  Everything is finite linear algebra over Z or Q;
-no simplicial machinery.
+graph of the generic fiber.  Everything is finite linear algebra over Z or Q,
+plus a union-find count of graph components; no simplicial machinery.
 """
 
 from collections import namedtuple
@@ -190,28 +190,23 @@ def central_complex(n):
     # coker generator: any target vector off the image; e_0 works since the
     # column sums of D vanish, so the sum functional kills the image
     u = tuple(QONE if i == 0 else QZERO for i in range(n))
-    chars = []
-    Tp = T
-    Np = N
-    for power in range(n):
-        if power == 0:
-            chars.append((QONE, QONE))
-            continue
-        Tp = mat_mul(Tp, T) if power > 1 else T
-        Np = mat_mul(Np, N) if power > 1 else N
-        # H^0: solve Tp w = lam w + mu s; lam is forced since w, s independent
-        img = mat_vec(Tp, w)
-        A = [[w[i], s[i]] for i in range(n + 1)]
-        sol = linear_solve(A, img)
+    A = [[w[i], s[i]] for i in range(n + 1)]
+    A1 = [[u[i]] + [D[i][j] for j in range(n + 1)] for i in range(n)]
+    chars = [(QONE, QONE)]
+    # Tw = T^p w and Nu = N^p u, advanced one power at a time
+    Tw, Nu = w, u
+    for _ in range(1, n):
+        Tw = mat_vec(T, Tw)
+        Nu = mat_vec(N, Nu)
+        # H^0: solve T^p w = lam w + mu s; lam is forced since w, s independent
+        sol = linear_solve(A, Tw)
         if sol is None:
             raise RuntimeError("rotation image left the kernel")
-        lam0 = sol[0]
-        # H^1: solve Np u = lam u + D x; lam is forced since u is off the image
-        A1 = [[u[i]] + [D[i][j] for j in range(n + 1)] for i in range(n)]
-        sol1 = linear_solve(A1, mat_vec(Np, u))
+        # H^1: solve N^p u = lam u + D x; lam is forced since u is off the image
+        sol1 = linear_solve(A1, Nu)
         if sol1 is None:
             raise RuntimeError("rotation image left the target")
-        chars.append((lam0, sol1[0]))
+        chars.append((sol[0], sol1[0]))
     trivial = all(a == QONE and b == QONE for a, b in chars)
     return CentralReport(h0, h1, tuple(chars), trivial)
 
@@ -222,7 +217,8 @@ def generic_fiber_homology(n):
     Vertices: n source points (one per axis) and n target copies of n-1
     points; one edge per (source point, map).  The map with index s sends the
     axis-j point to target-s point number (j - s) mod n, except that residues
-    0 and 1 both land on point 1.
+    0 and 1 both land on point 1.  For a graph, H0 is the number of connected
+    components c and H1 = E - V + c; union-find counts c.
 
     >>> generic_fiber_homology(2)
     (1, 1)
@@ -236,9 +232,18 @@ def generic_fiber_homology(n):
             delta = (j - s) % n
             i = 1 if delta <= 1 else delta
             edges.append((j, n + s * (n - 1) + (i - 1)))
-    M = [[QZERO] * len(edges) for _ in range(V)]
-    for e, (a, b) in enumerate(edges):
-        M[b][e] += QONE
-        M[a][e] -= QONE
-    rank = mat_rank(M)
-    return (V - rank, len(edges) - rank)
+    parent = list(range(V))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = V
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+    return (components, len(edges) - V + components)

@@ -1,9 +1,10 @@
 """Exact arithmetic kernels.
 
-Arbitrary-precision rationals (stdlib Fraction), cyclotomic fields Q(zeta_m)
-in the power basis mod Phi_m, dense linear algebra over exact fields, truncated
-bigraded series, and integer Smith normal form.  Every value is immutable after
-construction; every function is pure.
+Arbitrary-precision rationals (stdlib Fraction), dense linear algebra over Q,
+truncated bigraded series, and integer Smith normal form.  Everything is
+rational: characteristic polynomials come from Faddeev-LeVerrier traces, so no
+eigenvalue is ever needed.  Every value is immutable after construction; every
+function is pure.
 """
 
 from fractions import Fraction
@@ -19,10 +20,6 @@ class BadRational(ValueError):
 
 class NotInvertible(ZeroDivisionError):
     """A matrix inverse was requested and the determinant vanishes."""
-
-
-class ConductorMismatch(ValueError):
-    """Arithmetic on cyclotomics with different conductors; embed first."""
 
 
 # rationals -----------------------------------------------------------------
@@ -52,360 +49,15 @@ def format_rational(q):
     return str(q)
 
 
-# cyclotomic polynomials ----------------------------------------------------
-
-def _divisors(m):
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
-
-
-def _poly_exact_div(num, den):
-    # long division by a monic integer polynomial; remainder must vanish
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dn]
-        out[k] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[k + i] -= c * dc
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
-
-
-_PHI_CACHE = {}
-
-
-def cyclotomic_polynomial(m):
-    """Integer coefficients of Phi_m, lowest degree first.
-
-    >>> cyclotomic_polynomial(4)
-    (1, 0, 1)
-    >>> cyclotomic_polynomial(6)
-    (1, -1, 1)
-    """
-    if m < 1:
-        raise ValueError("conductor must be positive")
-    if m in _PHI_CACHE:
-        return _PHI_CACHE[m]
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m):
-        if d < m:
-            poly = _poly_exact_div(poly, cyclotomic_polynomial(d))
-    _PHI_CACHE[m] = tuple(poly)
-    return _PHI_CACHE[m]
-
-
-_POWER_CACHE = {}
-
-
-def _zeta_powers(m, upto):
-    """Coordinate vectors of z^0, ..., z^upto reduced mod Phi_m."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    # z^deg = -(phi_0 + phi_1 z + ... + phi_{deg-1} z^{deg-1}), phi is monic
-    top = tuple(Fraction(-c) for c in phi[:deg])
-    tab = _POWER_CACHE.setdefault(m, [])
-    if not tab:
-        tab.append((QONE,) + (QZERO,) * (deg - 1))
-    while len(tab) <= upto:
-        prev = tab[-1]
-        nxt = [QZERO] * deg
-        for j in range(deg - 1):
-            nxt[j + 1] = prev[j]
-        if prev[deg - 1]:
-            for j in range(deg):
-                nxt[j] += prev[deg - 1] * top[j]
-        tab.append(tuple(nxt))
-    return tab
-
-
-class Cyclotomic:
-    """Element of Q(zeta_m) in the power basis 1, z, ..., z^{phi(m)-1}.
-
-    Coordinates are always reduced mod Phi_m, so two elements of the same
-    conductor are equal iff their coordinate tuples are equal.
-    """
-
-    __slots__ = ("m", "coords")
-
-    def __init__(self, m, coords):
-        deg = len(cyclotomic_polynomial(m)) - 1
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
-        if len(cs) != deg:
-            raise ValueError("conductor %d needs %d coordinates, got %d" % (m, deg, len(cs)))
-        self.m = m
-        self.coords = cs
-
-    @classmethod
-    def from_rational(cls, m, q):
-        deg = len(cyclotomic_polynomial(m)) - 1
-        return cls(m, (Fraction(q),) + (QZERO,) * (deg - 1))
-
-    @classmethod
-    def zero(cls, m):
-        return cls.from_rational(m, 0)
-
-    @classmethod
-    def one(cls, m):
-        return cls.from_rational(m, 1)
-
-    @classmethod
-    def zeta(cls, m, k=1):
-        """zeta_m^k.
-
-        >>> Cyclotomic.zeta(4) * Cyclotomic.zeta(4) == -1
-        True
-        """
-        k %= m
-        return cls(m, _zeta_powers(m, k)[k])
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.m != self.m:
-                raise ConductorMismatch("conductors %d and %d" % (self.m, other.m))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.m, other)
-        return None
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.m, tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.m, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.m, tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.m, tuple(a * other for a in self.coords))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        deg = len(self.coords)
-        conv = [QZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(o.coords):
-                if b:
-                    conv[i + j] += a * b
-        tab = _zeta_powers(self.m, 2 * deg - 2)
-        out = [QZERO] * deg
-        for k, c in enumerate(conv):
-            if c:
-                pw = tab[k]
-                for j in range(deg):
-                    out[j] += c * pw[j]
-        return Cyclotomic(self.m, out)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        """Multiplicative inverse; Phi_m is irreducible so any nonzero element works."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.m)
-        phi = UniPoly(tuple(Fraction(c) for c in cyclotomic_polynomial(self.m)))
-        f = UniPoly(self.coords)
-        g, _, v = _poly_ext_gcd(phi, f)
-        # g = u*phi + v*f is a nonzero constant, so (v/g)*f = 1 mod phi
-        c = g.coeffs[0]
-        _, rem = (v.scale(QONE / c)).divmod(phi)
-        deg = len(self.coords)
-        coords = list(rem.coeffs) + [QZERO] * (deg - len(rem.coeffs))
-        return Cyclotomic(self.m, coords)
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            return self * Fraction(1, other)
-        if isinstance(other, Fraction):
-            return self * (QONE / other)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = Cyclotomic.one(self.m)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def is_rational(self):
-        return not any(self.coords[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("not a rational value: %r" % (self,))
-        return self.coords[0]
-
-    def embed(self, big_m):
-        """Image in Q(zeta_M) for m | M, via zeta_m = zeta_M^(M/m)."""
-        if big_m % self.m != 0:
-            raise ConductorMismatch("%d does not divide %d" % (self.m, big_m))
-        step = big_m // self.m
-        out = Cyclotomic.zero(big_m)
-        for j, c in enumerate(self.coords):
-            if c:
-                out = out + c * Cyclotomic.zeta(big_m, j * step)
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
-        if isinstance(other, Cyclotomic):
-            if other.m == self.m:
-                return self.coords == other.coords
-            return (self.is_rational() and other.is_rational()
-                    and self.coords[0] == other.coords[0])
-        return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.m, self.coords))
-
-    def __repr__(self):
-        return "Cyclotomic(%d, %s)" % (self.m, [str(c) for c in self.coords])
-
-
-def cyclotomic_arith(a, b, op):
-    """add / mul / inv in Q(zeta_m); operands must share a conductor (inv ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    raise ValueError("op must be one of add, mul, inv")
-
-
-# univariate polynomials ----------------------------------------------------
-
-class UniPoly:
-    """Dense univariate polynomial over an exact field, lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if not self or not other:
-            return UniPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
-
-    def scale(self, c):
-        return UniPoly(tuple(a * c for a in self.coeffs))
-
-    def divmod(self, other):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) <= dn:
-            return UniPoly(()), UniPoly(rem)
-        quo = [QZERO] * (len(rem) - dn)
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + dn] / lead
-            quo[k] = c
-            if c:
-                for i, dc in enumerate(other.coeffs):
-                    rem[k + i] = rem[k + i] - c * dc
-        return UniPoly(quo), UniPoly(rem)
-
-    def __repr__(self):
-        return "UniPoly(%s)" % (list(self.coeffs),)
-
-
-def _poly_ext_gcd(a, b):
-    # returns (g, u, v) with u*a + v*b = g
-    r0, r1 = a, b
-    u0, u1 = UniPoly((QONE,)), UniPoly(())
-    v0, v1 = UniPoly(()), UniPoly((QONE,))
-    while r1:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return r0, u0, v0
-
-
-# dense linear algebra over an exact field ----------------------------------
-# Entries are Fractions or Cyclotomics (any type with exact +,-,*,/ and
-# truthiness as the zero test).  Plain ints are lifted to Fraction on entry.
+# dense linear algebra over Q -----------------------------------------------
+# Entries are Fractions; plain ints are lifted to Fraction on entry.
 
 def _lift(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def mat_identity(n, one=QONE):
-    zero = one - one
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def mat_identity(n):
+    return tuple(tuple(QONE if i == j else QZERO for j in range(n)) for i in range(n))
 
 
 def mat_mul(A, B):
@@ -511,32 +163,21 @@ def linear_solve(A, b):
 
 
 def mat_inv(A):
-    """Inverse by Gauss-Jordan; raises NotInvertible on singular input."""
+    """Inverse as the right half of rref([A | I]); raises NotInvertible on
+    singular input.
+
+    [A | I] always has rank n, so A is invertible exactly when the n pivots
+    are the columns of A.
+    """
     n = len(A)
-    rows = [[_lift(x) for x in A[i]] + [QONE if i == j else QZERO for j in range(n)]
-            for i in range(n)]
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            raise NotInvertible("matrix is singular")
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
+    rows, pivots = rref([list(a) + list(e) for a, e in zip(A, mat_identity(n))])
+    if pivots != list(range(n)):
+        raise NotInvertible("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
 
 
 def mat_det(A):
-    """Determinant by fraction-free-enough elimination (field entries)."""
+    """Determinant by fraction-free-enough elimination (rational entries)."""
     n = len(A)
     if n == 0:
         return QONE
@@ -575,27 +216,6 @@ def elementary_symmetric(M):
         B = mat_add(B, mat_scale(mat_identity(n), c))
     # char poly of M is sum coeffs[k] x^{n-k}, so e_k = (-1)^k coeffs[k]
     return tuple(coeffs[k] if k % 2 == 0 else -coeffs[k] for k in range(n + 1))
-
-
-def eigenspace(g, zeta):
-    """Exact basis of ker(g - zeta*I) for a square rational matrix g.
-
-    zeta may be an int, Fraction, or Cyclotomic; rational matrix entries are
-    lifted into zeta's field.  The direct sum over all eigenvalues in
-    mu_{ord(g)} recovers the ambient space.
-    """
-    n = len(g)
-    if isinstance(zeta, Cyclotomic):
-        lift = lambda q: Cyclotomic.from_rational(zeta.m, q)
-    else:
-        zeta = Fraction(zeta)
-        lift = Fraction
-    A = []
-    for i in range(n):
-        row = [lift(_lift(g[i][j])) for j in range(n)]
-        row[i] = row[i] - zeta
-        A.append(row)
-    return nullspace_basis(A)
 
 
 # truncated bigraded series --------------------------------------------------
@@ -688,16 +308,10 @@ class BiSeries:
             self.u_max, self.t_max, [[str(c) for c in row] for row in self.rows])
 
 
-def _field_inv(x):
-    if isinstance(x, Cyclotomic):
-        return x.inv()
-    return QONE / x
-
-
 def _invert_series(a, t_max):
     # 1 / (a[0] + a[1] t + ...) truncated; a[0] must be a unit
     b = [QZERO] * (t_max + 1)
-    b[0] = _field_inv(a[0])
+    b[0] = QONE / a[0]
     for d in range(1, t_max + 1):
         s = QZERO
         for k in range(1, min(d, len(a) - 1) + 1):

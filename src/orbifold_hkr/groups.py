@@ -1,15 +1,14 @@
 """Finite matrix groups over Q.
 
 Breadth-first closure from generators with hard caps, conjugacy classes with
-centralizers, and the group exponent (which fixes the cyclotomic conductor for
-everything downstream).
+centralizers, and the group exponent (lcm of the element orders).
 """
 
 from collections import deque
 from fractions import Fraction
 from math import lcm
 
-from .exact import NotInvertible, mat_identity, mat_inv, mat_mul
+from .exact import mat_identity, mat_inv, mat_mul
 
 DEFAULT_CAP = 100000
 
@@ -153,8 +152,3 @@ def conjugacy_classes(G):
                        if mat_mul(h, g) == mat_mul(g, h)]
         classes.append(ConjClass(g, members, centralizer))
     return classes
-
-
-def exponent(G):
-    """lcm of the element orders; the conductor for all cyclotomic work on G."""
-    return G.exponent

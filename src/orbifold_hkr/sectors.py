@@ -10,7 +10,6 @@ Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 two series below agree bidegree by bidegree.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 

@@ -5,7 +5,7 @@ import pytest
 
 from orbifold_hkr.exact import NotInvertible
 from orbifold_hkr.groups import (CapExceeded, OrderCapExceeded, conjugacy_classes,
-                                 element_order, exponent, generate, matrix_key)
+                                 element_order, generate, matrix_key)
 
 from conftest import D4, ROT4, S3_PERM, SIGN_1D, m
 
@@ -76,9 +76,9 @@ def test_classes_of_cyclic4_all_singletons():
 
 
 def test_exponent_examples():
-    assert exponent(generate(SIGN_1D, 10)) == 2
-    assert exponent(generate(S3_PERM, 10)) == 6
-    assert exponent(generate((m([[1, 0], [0, 1]]),), 10)) == 1
+    assert generate(SIGN_1D, 10).exponent == 2
+    assert generate(S3_PERM, 10).exponent == 6
+    assert generate((m([[1, 0], [0, 1]]),), 10).exponent == 1
 
 
 def test_element_order_values():

@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +80,22 @@ def test_untwisted_component_is_the_stack(weights):
     assert comps[0].k == 0
     assert comps[0].support == tuple(range(len(weights)))
     assert comps[0].dimension == W.dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+def test_components_match_the_definitional_loop(weights):
+    # every k < lcm whose root zeta_N^k fixes some coordinate, k ascending
+    ws = tuple(weights)
+    N = lcm(*ws)
+    expected = []
+    for k in range(N):
+        support = tuple(i for i, a in enumerate(ws) if (k * a) % N == 0)
+        if support:
+            expected.append((N, k, support, tuple(ws[i] for i in support)))
+    got = [(c.order, c.k, c.support, c.component_weights)
+           for c in inertia_components(WeightedStack(ws))]
+    assert got == expected
 
 
 def test_coprime_weights_give_point_sectors():
