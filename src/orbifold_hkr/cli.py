@@ -3,7 +3,8 @@
 Reads a JSON job document (from --spec or stdin), validates it against the
 per-command schema, runs the computation, and prints a deterministic JSON or
 plain-table report.  Exit codes: 0 success, 2 bad input, 3 a size cap was
-exceeded, 4 the oracle cross-check disagreed (report still printed).
+exceeded or a generator has infinite order, 4 the oracle cross-check
+disagreed (report still printed).
 """
 
 import argparse
@@ -245,10 +246,8 @@ def _gamma_report(job):
         "command": "gamma",
         "version": __version__,
         "input": _echo(job),
-        "cofiber": {"H0": _homology_name(g[0]), "H1": _homology_name(g[1]),
-                    "H2": _homology_name(g[2])},
-        "cover": {"H0": _homology_name(c[0]), "H1": _homology_name(c[1]),
-                  "H2": _homology_name(c[2])},
+        "cofiber": {"H%d" % i: _homology_name(h) for i, h in enumerate(g)},
+        "cover": {"H%d" % i: _homology_name(h) for i, h in enumerate(c)},
     }
 
 

@@ -8,6 +8,7 @@ function is pure.
 """
 
 from fractions import Fraction
+from operator import mul
 import re
 
 QZERO = Fraction(0)
@@ -44,11 +45,6 @@ def parse_rational(text):
     return Fraction(int(s))
 
 
-def format_rational(q):
-    # Fraction already prints normalized p/q with q > 0, or bare p
-    return str(q)
-
-
 # dense linear algebra over Q -----------------------------------------------
 # Entries are Fractions; plain ints are lifted to Fraction on entry.
 
@@ -61,37 +57,23 @@ def mat_identity(n):
 
 
 def mat_mul(A, B):
+    # the QZERO start makes every entry a Fraction, even for int inputs
     if A and len(A[0]) != len(B):
         raise ValueError("shape mismatch")
-    return tuple(tuple(sum((_lift(A[i][k]) * _lift(B[k][j]) for k in range(len(B))), QZERO)
-                       for j in range(len(B[0]) if B else 0))
-                 for i in range(len(A)))
-
-
-def mat_add(A, B):
-    return tuple(tuple(_lift(a) + _lift(b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_scale(A, c):
-    return tuple(tuple(_lift(a) * c for a in row) for row in A)
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col), QZERO) for col in cols) for row in A)
 
 
 def mat_sub(A, B):
-    return mat_add(A, mat_scale(B, -1))
-
-def mat_trace(A):
-    return sum((_lift(A[i][i]) for i in range(len(A))), QZERO)
+    return tuple(tuple(_lift(a) - _lift(b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def transpose(A):
-    if not A:
-        return ()
-    return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
+    return tuple(zip(*A))
 
 
 def mat_vec(A, v):
-    return tuple(sum((_lift(A[i][j]) * _lift(v[j]) for j in range(len(v))), QZERO)
-                 for i in range(len(A)))
+    return tuple(sum(map(mul, row, v), QZERO) for row in A)
 
 
 def rref(A):
@@ -206,14 +188,16 @@ def mat_det(A):
 def elementary_symmetric(M):
     """e_0, ..., e_n of the eigenvalues of M via the Faddeev-LeVerrier recursion."""
     n = len(M)
-    M = tuple(tuple(_lift(x) for x in row) for row in M)
+    B = M = tuple(tuple(_lift(x) for x in row) for row in M)
     coeffs = [QONE]
-    B = mat_identity(n)
     for k in range(1, n + 1):
-        B = mat_mul(M, B)
-        c = -mat_trace(B) / k
+        # B = M (B + c I) after the first step; its trace gives the next c
+        c = -sum((B[i][i] for i in range(n)), QZERO) / k
         coeffs.append(c)
-        B = mat_add(B, mat_scale(mat_identity(n), c))
+        if k < n:
+            shifted = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                            for i, row in enumerate(B))
+            B = mat_mul(M, shifted)
     # char poly of M is sum coeffs[k] x^{n-k}, so e_k = (-1)^k coeffs[k]
     return tuple(coeffs[k] if k % 2 == 0 else -coeffs[k] for k in range(n + 1))
 
@@ -240,10 +224,6 @@ class BiSeries:
     @classmethod
     def zero(cls, u_max, t_max):
         return cls(u_max, t_max, [[QZERO] * (t_max + 1) for _ in range(u_max + 1)])
-
-    @classmethod
-    def one(cls, t_max):
-        return cls(0, t_max, [[QONE] + [QZERO] * t_max])
 
     def coeff(self, p, d):
         if d < 0 or d > self.t_max:

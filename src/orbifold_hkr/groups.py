@@ -1,10 +1,11 @@
 """Finite matrix groups over Q.
 
-Breadth-first closure from generators with hard caps, conjugacy classes with
-centralizers, and the group exponent (lcm of the element orders).
+The breadth-first closure is the only place that multiplies matrices.  It
+keeps index permutation tables and each element's BFS parent, from which
+conjugacy classes, centralizers and the exponent are computed on integers.
 """
 
-from collections import deque
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -18,7 +19,7 @@ class CapExceeded(RuntimeError):
 
 
 class OrderCapExceeded(RuntimeError):
-    """A single element's order passed the cap, e.g. a shear of infinite order."""
+    """A generator's order passed the cap or is provably infinite, e.g. a shear."""
 
 
 def matrix_key(M):
@@ -36,15 +37,40 @@ def _check_square(mats):
     return n
 
 
+def max_finite_order(n):
+    """Largest order m of a finite-order element of GL_n(Q).
+
+    Its eigenvalue orders d_i have sum phi(d_i) <= n and lcm m, so the
+    prime powers p^a exactly dividing m, 2 left out, have sum phi(p^a) <= n.
+    A knapsack over the primes up to n + 1 finds the largest such m.
+    """
+    best = [1] * (n + 1)  # best[b]: largest m so far of cost at most b
+    for p in range(2, n + 2):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        new = list(best)
+        q = p
+        while (cost := 0 if q == 2 else q - q // p) <= n:
+            for b in range(cost, n + 1):
+                new[b] = max(new[b], q * best[b - cost])
+            q *= p
+        best = new
+    return best[n]
+
+
 def element_order(M, cap=DEFAULT_CAP):
-    """Multiplicative order of M, or OrderCapExceeded past the cap."""
+    """Multiplicative order of M; OrderCapExceeded past the cap, or past
+    max_finite_order(n), where the order is known to be infinite."""
     n = len(M)
+    bound = max_finite_order(n)
     ident = mat_identity(n)
-    P = matrix_key(M)
+    P = M = matrix_key(M)
     k = 1
     while P != ident:
-        P = matrix_key(mat_mul(P, M))
+        P = mat_mul(P, M)
         k += 1
+        if k > bound:
+            raise OrderCapExceeded("element has infinite order")
         if k > cap:
             raise OrderCapExceeded("element order exceeds cap %d" % cap)
     return k
@@ -55,28 +81,35 @@ class MatrixGroup:
 
     elements[0] is the identity; the rest follow breadth-first with the
     generators applied in their given order, so enumeration order (and with it
-    every class representative downstream) is reproducible.
+    every class representative downstream) is reproducible.  right[k][i] is
+    the index of elements[i] times the k-th generator; parents[i] = (p, k)
+    says that elements[i] = elements[p] times the k-th generator (i > 0).
     """
 
-    def __init__(self, n, generators, elements, exponent):
+    def __init__(self, n, elements, right, parents):
         self.n = n
-        self.generators = tuple(generators)
         self.elements = tuple(elements)
         self.order = len(elements)
-        self.exponent = exponent
-        self.index = {g: i for i, g in enumerate(elements)}
+        self.right = right
+        self.parents = parents
+        self.exponent = 1
+        for i in range(1, self.order):
+            x, k = i, 1
+            while x:
+                x = self.mul(x, i)
+                k += 1
+            self.exponent = lcm(self.exponent, k)
 
-    def product(self, a, b):
-        return matrix_key(mat_mul(a, b))
-
-    def inverse(self, a):
-        return matrix_key(mat_inv(a))
-
-    def __contains__(self, M):
-        return matrix_key(M) in self.index
-
-    def __len__(self):
-        return self.order
+    def mul(self, i, j):
+        """Index of elements[i] * elements[j]: j's word in the generators,
+        read back along its BFS parents, walked from i."""
+        word = []
+        while j:
+            j, k = self.parents[j]
+            word.append(k)
+        for k in reversed(word):
+            i = self.right[k][i]
+        return i
 
     def __repr__(self):
         return "MatrixGroup(n=%d, order=%d, exponent=%d)" % (self.n, self.order, self.exponent)
@@ -95,60 +128,52 @@ def generate(generators, cap=DEFAULT_CAP):
     for g in gens:
         mat_inv(g)  # raises NotInvertible on singular input
         element_order(g, cap)
-    ident = mat_identity(n)
-    elements = [ident]
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        w = queue.popleft()
-        for g in gens:
-            p = matrix_key(mat_mul(w, g))
-            if p not in seen:
-                seen.add(p)
+    elements = [mat_identity(n)]
+    index = {elements[0]: 0}
+    parents = [None]
+    right = [[] for _ in gens]
+    for i, w in enumerate(elements):  # elements grows behind i, a BFS queue
+        for k, g in enumerate(gens):
+            p = mat_mul(w, g)
+            if p not in index:
+                index[p] = len(elements)
                 elements.append(p)
-                queue.append(p)
+                parents.append((i, k))
                 if len(elements) > cap:
                     raise CapExceeded("group order exceeds cap %d" % cap)
-    expo = 1
-    for g in elements:
-        expo = lcm(expo, element_order(g, cap))
-    return MatrixGroup(n, gens, elements, expo)
+            right[k].append(index[p])
+    return MatrixGroup(n, elements, right, parents)
 
 
-class ConjClass:
-    """One conjugacy class: earliest-enumerated representative, members, centralizer."""
-
-    __slots__ = ("representative", "members", "centralizer")
-
-    def __init__(self, representative, members, centralizer):
-        self.representative = representative
-        self.members = tuple(members)
-        self.centralizer = tuple(centralizer)
-
-    def __repr__(self):
-        return "ConjClass(size=%d, centralizer=%d)" % (len(self.members), len(self.centralizer))
+# one conjugacy class: earliest-enumerated representative, members, centralizer
+ConjClass = namedtuple("ConjClass", ["representative", "members", "centralizer"])
 
 
 def conjugacy_classes(G):
     """Partition of G into conjugacy classes, ordered by representative index.
 
-    Representative = first member in enumeration order; centralizers by direct
-    commutation test.  |members| * |centralizer| = |G| per class.
+    Works on element indices.  A class is the orbit of its representative
+    (its first member) under x -> s^-1 x s for the generators s, read off s's
+    right-multiplication table; the centralizer is every h with h g = g h as
+    index products.  Both keep enumeration order; |class| * |centralizer| = |G|.
     """
-    inv = [G.inverse(h) for h in G.elements]
-    assigned = [False] * G.order
+    N = G.order
+    # table[x] is x s, and table.index(0) is s^-1
+    conjugations = [[G.mul(table.index(0), y) for y in table] for table in G.right]
+    assigned = [False] * N
     classes = []
-    for i, g in enumerate(G.elements):
-        if assigned[i]:
+    for g in range(N):
+        if assigned[g]:
             continue
-        member_idx = set()
-        for j, h in enumerate(G.elements):
-            c = G.product(G.product(h, g), inv[j])
-            member_idx.add(G.index[c])
-        members = [G.elements[k] for k in sorted(member_idx)]
-        for k in member_idx:
-            assigned[k] = True
-        centralizer = [h for h in G.elements
-                       if mat_mul(h, g) == mat_mul(g, h)]
-        classes.append(ConjClass(g, members, centralizer))
+        assigned[g] = True
+        orbit = [g]
+        for x in orbit:
+            for conj in conjugations:
+                if not assigned[conj[x]]:
+                    assigned[conj[x]] = True
+                    orbit.append(conj[x])
+        members = tuple(G.elements[x] for x in sorted(orbit))
+        centralizer = tuple(G.elements[h] for h in range(N)
+                            if G.mul(h, g) == G.mul(g, h))
+        classes.append(ConjClass(G.elements[g], members, centralizer))
     return classes

@@ -20,8 +20,9 @@ lowers weight by one.
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import (BiSeries, QONE, QZERO, det_series_factor, mat_det,
-                    mat_inv, mat_rank, transpose)
+from .exact import (BiSeries, QONE, QZERO, det_series_factor,
+                    elementary_symmetric, mat_det, mat_inv, mat_rank,
+                    transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
 
@@ -68,23 +69,36 @@ def _check_integral(series):
     return series
 
 
+def _molien_average(sector, t_max, u_max, twisted, numerator):
+    # average of numerator(A) / det(I - t A) over the centralizer, A the
+    # action on V^g, times the det-of-normal character when twisted; a term
+    # depends only on the characteristic polynomial of A and that character,
+    # so it is summed once per distinct key, weighted by the key's count
+    Z = sector.class_ref.centralizer
+    groups = {}
+    for h in Z:
+        A = sector.restricted_action[h]
+        char = sector.det_normal_char[h] if twisted else QONE
+        groups.setdefault((elementary_symmetric(A), char), [A, 0])[1] += 1
+    total = BiSeries.zero(u_max, t_max)
+    for (_, char), (A, count) in groups.items():
+        den = det_series_factor(A, t_max, sign="minus", marker="t",
+                                reciprocal=True)
+        total = total + (numerator(A) * den).scale(char * Fraction(count, len(Z)))
+    return _check_integral(total)
+
+
 def sector_hh_series(sector, t_max):
     """Bigraded Hilbert series of the sector's contribution to HH_*.
 
     Averages det(I + u t D) / det(I - t D) over the centralizer, D the dual
-    action on V^g.  Restricted actions of rational generators are rational,
-    so the whole expansion stays in Q.
+    action on V^g, one term per distinct characteristic polynomial.  The
+    restricted action A stands in for D = A^-1: A has finite order and
+    rational entries, so its eigenvalues are roots of unity closed under
+    complex conjugation, which for roots of unity is inversion.
     """
-    Z = sector.class_ref.centralizer
-    f = sector.fixed_dim
-    total = BiSeries.zero(f, t_max)
-    for h in Z:
-        D = mat_inv(sector.restricted_action[h]) if f else ()
-        num = det_series_factor(D, t_max, sign="plus", marker="ut")
-        den = det_series_factor(D, t_max, sign="minus", marker="t",
-                                reciprocal=True)
-        total = total + num * den
-    return _check_integral(total.scale(Fraction(1, len(Z))))
+    return _molien_average(sector, t_max, sector.fixed_dim, False, lambda A:
+                           det_series_factor(A, t_max, sign="plus", marker="ut"))
 
 
 def sector_hhcoh_series(sector, t_max):
@@ -92,19 +106,12 @@ def sector_hhcoh_series(sector, t_max):
 
     Per centralizer element: determinant-of-normal character times
     det(I + u A) on the polyvector side times the symmetric series of the
-    dual action, then the whole block moves down by the codimension.
+    dual action, then the whole block moves down by the codimension.  Terms
+    are grouped, and A stands in for its inverse, as in sector_hh_series.
     """
-    Z = sector.class_ref.centralizer
-    f = sector.fixed_dim
-    total = BiSeries.zero(sector.n, t_max)
-    for h in Z:
-        A = sector.restricted_action[h]
-        lam = det_series_factor(A, t_max, sign="plus", marker="u")
-        sym = det_series_factor(mat_inv(A) if f else (), t_max, sign="minus",
-                                marker="t", reciprocal=True)
-        term = (lam * sym).shift_u(sector.c_g).scale(sector.det_normal_char[h])
-        total = total + term
-    return _check_integral(total.scale(Fraction(1, len(Z))))
+    return _molien_average(sector, t_max, sector.n, True, lambda A:
+                           det_series_factor(A, t_max, sign="plus", marker="u")
+                           .shift_u(sector.c_g))
 
 
 def _linear_substitute(poly, row):
@@ -201,14 +208,12 @@ def full_report(G, t_max, mode="homology"):
     """Every sector's series plus the total, as an HHReport."""
     if mode not in ("homology", "cohomology"):
         raise ValueError("mode must be 'homology' or 'cohomology'")
+    series = sector_hh_series if mode == "homology" else sector_hhcoh_series
     pairs = []
     total = BiSeries.zero(G.n, t_max)
     for cls in conjugacy_classes(G):
         sec = build_sector(G, cls)
-        if mode == "homology":
-            s = sector_hh_series(sec, t_max)
-        else:
-            s = sector_hhcoh_series(sec, t_max)
+        s = series(sec, t_max)
         pairs.append((sec, s))
         total = total + s.pad_u(G.n)
     conv = HOMOLOGY_CONVENTIONS if mode == "homology" else COHOMOLOGY_CONVENTIONS
@@ -222,21 +227,15 @@ def oracle_verdict(G, t_max):
     """
     for idx, cls in enumerate(conjugacy_classes(G)):
         sec = build_sector(G, cls)
-        hh = sector_hh_series(sec, t_max)
-        for pdeg in range(sec.fixed_dim + 1):
-            for d in range(t_max + 1):
-                want = brute_force_invariants(sec, pdeg, d, "forms")
-                got = hh.coeff(pdeg, d)
-                if got != want:
-                    return {"mode": "homology", "sector": idx, "degree": pdeg,
-                            "weight": d, "molien": str(got), "oracle": str(want)}
-        hc = sector_hhcoh_series(sec, t_max)
-        for pdeg in range(sec.fixed_dim + 1):
-            for m in range(t_max + 1):
-                want = brute_force_invariants(sec, pdeg, m, "polyvectors_twisted")
-                got = hc.coeff(pdeg + sec.c_g, m)
-                if got != want:
-                    return {"mode": "cohomology", "sector": idx,
-                            "degree": pdeg + sec.c_g, "weight": m,
-                            "molien": str(got), "oracle": str(want)}
+        for mode, series, kind, shift in (
+                ("homology", sector_hh_series, "forms", 0),
+                ("cohomology", sector_hhcoh_series, "polyvectors_twisted", sec.c_g)):
+            s = series(sec, t_max)
+            for pdeg in range(sec.fixed_dim + 1):
+                for d in range(t_max + 1):
+                    want = brute_force_invariants(sec, pdeg, d, kind)
+                    got = s.coeff(pdeg + shift, d)
+                    if got != want:
+                        return {"mode": mode, "sector": idx, "degree": pdeg + shift,
+                                "weight": d, "molien": str(got), "oracle": str(want)}
     return None

@@ -15,7 +15,6 @@ from math import comb
 
 from .exact import (QZERO, QONE, mat_det, mat_identity, mat_inv, mat_mul,
                     mat_rank, mat_sub, nullspace_basis, rref)
-from .groups import matrix_key
 
 
 def monomials(nvars, degree):
@@ -90,10 +89,9 @@ def build_sector(G, cls, complement=None):
                     raise RuntimeError(
                         "centralizer element does not preserve the fixed subspace; "
                         "this is a bug, not bad input")
-        restricted[matrix_key(h)] = tuple(tuple(M[i][j] for j in range(f))
-                                          for i in range(f))
+        restricted[h] = tuple(tuple(M[i][j] for j in range(f)) for i in range(f))
         quot = tuple(tuple(M[i][j] for j in range(f, n)) for i in range(f, n))
-        charv[matrix_key(h)] = mat_det(quot)
+        charv[h] = mat_det(quot)
     return Sector(cls, n, tuple(fixed), c, charv, restricted)
 
 
@@ -153,7 +151,6 @@ def derived_fixed_hilbert(g, t_max):
     the derived self-intersection along the g-twisted diagonal, weight by
     weight, with no Groebner machinery: one exact rank per bidegree.
     """
-    g = matrix_key(g)
     n = len(g)
     L = mat_sub(g, mat_identity(n))
     ranks = {}

@@ -183,6 +183,13 @@ def test_main_shear_exit_3(tmp_path, capsys):
     assert main(["quotient", "--spec", str(spec)]) == 3
 
 
+def test_main_growing_generator_exit_3(tmp_path, capsys):
+    spec = tmp_path / "job.json"
+    spec.write_text('{"command": "quotient", "generators": [[[2, 0], [0, 1]]]}')
+    assert main(["quotient", "--spec", str(spec)]) == 3
+    assert "infinite order" in capsys.readouterr().err
+
+
 def test_main_flag_overrides(tmp_path, capsys):
     spec = tmp_path / "job.json"
     spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 9}')

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from orbifold_hkr.exact import (BadRational, BiSeries, IntMatrix,
                                 NotInvertible, QONE, det_series_factor,
-                                elementary_symmetric, format_rational,
-                                linear_solve, mat_det, mat_identity, mat_inv,
-                                mat_mul, parse_rational, smith_normal_form)
+                                elementary_symmetric, linear_solve, mat_det,
+                                mat_identity, mat_inv, mat_mul, parse_rational,
+                                smith_normal_form)
 
 from conftest import m
 
@@ -22,7 +22,6 @@ def test_parse_rational_examples():
     assert parse_rational("3") == F(3)
     assert parse_rational("-6/4") == F(-3, 2)
     assert parse_rational("+7/21") == F(1, 3)
-    assert format_rational(F(-3, 2)) == "-3/2"
 
 
 @pytest.mark.parametrize("bad", ["1.5", "x", "", "1/0", "1/-2", "2/3/4", "1e3"])
@@ -33,7 +32,7 @@ def test_parse_rational_rejects(bad):
 
 @given(st.fractions())
 def test_parse_format_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert parse_rational(str(q)) == q
 
 
 # truncated determinant series -------------------------------------------------

@@ -3,9 +3,10 @@ from math import lcm
 
 import pytest
 
-from orbifold_hkr.exact import NotInvertible
+from orbifold_hkr.exact import NotInvertible, mat_inv, mat_mul
 from orbifold_hkr.groups import (CapExceeded, OrderCapExceeded, conjugacy_classes,
-                                 element_order, generate, matrix_key)
+                                 element_order, generate, matrix_key,
+                                 max_finite_order)
 
 from conftest import D4, ROT4, S3_PERM, SIGN_1D, m
 
@@ -16,8 +17,9 @@ def test_generate_sign_group():
     G = generate(SIGN_1D, 100)
     assert G.order == 2
     assert G.exponent == 2
-    assert m([[1]]) in G
-    assert m([[-1]]) in G
+    elements = set(G.elements)
+    assert m([[1]]) in elements
+    assert m([[-1]]) in elements
 
 
 def test_generate_s3_from_transpositions():
@@ -31,6 +33,45 @@ def test_generate_s3_from_transpositions():
 def test_shear_has_infinite_order():
     with pytest.raises(OrderCapExceeded):
         generate((m([[1, 1], [0, 1]]),), 100)
+
+
+def test_infinite_order_is_told_apart_from_the_cap():
+    # past max_finite_order(2) = 6 the order is infinite whatever the cap
+    for M in ([[2, 0], [0, 1]], [[1, 1], [0, 1]]):
+        with pytest.raises(OrderCapExceeded, match="infinite order"):
+            element_order(m(M), 100000)
+    # order 6 under a cap of 5 is the cap's doing
+    with pytest.raises(OrderCapExceeded, match="exceeds cap 5"):
+        element_order(m([[1, -1], [1, 0]]), 5)
+
+
+def test_max_finite_order_matches_brute_force():
+    # cost(m) = sum of phi(p^a) over the prime powers p^a exactly dividing m,
+    # 2 left out; M(n) is the largest m of cost at most n
+    limit = 20000
+    spf = list(range(limit))
+    for p in range(2, int(limit ** 0.5) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit, p):
+                if spf[k] == k:
+                    spf[k] = p
+
+    def cost(x):
+        c = 0
+        while x > 1:
+            p, q = spf[x], 1
+            while x % p == 0:
+                x //= p
+                q *= p
+            if q > 2:
+                c += q - q // p
+        return c
+
+    costs = [cost(x) for x in range(limit)]
+    want = [2, 6, 6, 12, 12, 30, 30, 60, 60, 120, 120, 210]
+    for n in range(1, 13):
+        brute = max(x for x in range(1, limit) if costs[x] <= n)
+        assert brute == want[n - 1] == max_finite_order(n)
 
 
 def test_singular_generator_rejected():
@@ -107,7 +148,7 @@ def test_conjugation_stays_in_class(zoo_groups):
         for h in G.elements:
             for c in classes:
                 g = c.representative
-                conj = G.product(G.product(h, g), G.inverse(h))
+                conj = matrix_key(mat_mul(mat_mul(h, g), mat_inv(h)))
                 assert where[conj] == where[g]
 
 
@@ -123,8 +164,37 @@ def test_orders_divide_exponent_and_group_order(zoo_groups):
 
 def test_closure_under_product_and_inverse(zoo_groups):
     for G in zoo_groups.values():
+        elements = set(G.elements)
         sample = list(G.elements)[:8]
         for a in sample:
-            assert G.inverse(a) in G
+            assert mat_inv(a) in elements
             for b in sample:
-                assert G.product(a, b) in G
+                assert matrix_key(mat_mul(a, b)) in elements
+
+
+def _b3_coxeter():
+    return (m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+            m([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+            m([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+
+
+@pytest.mark.parametrize("basis", [None, [[1, 1, 0], [-1, 1, 1], [0, 1, 2]]],
+                         ids=["coxeter", "conjugate"])
+def test_index_classes_match_matrix_arithmetic(basis):
+    gens = _b3_coxeter()
+    if basis is not None:
+        P = m(basis)
+        gens = tuple(mat_mul(mat_mul(P, g), mat_inv(P)) for g in gens)
+    G = generate(gens, 1000)
+    assert G.order == 48
+    inverses = [mat_inv(h) for h in G.elements]
+    classes = conjugacy_classes(G)
+    assert len(classes) == 10
+    for c in classes:
+        g = c.representative
+        orbit = {mat_mul(mat_mul(h, g), hi) for h, hi in zip(G.elements, inverses)}
+        assert c.members == tuple(x for x in G.elements if x in orbit)
+        assert c.members[0] == g
+        assert c.centralizer == tuple(h for h in G.elements
+                                      if mat_mul(h, g) == mat_mul(g, h))
+    assert G.exponent == lcm(*(element_order(g) for g in G.elements))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbifold_hkr.exact import BiSeries, det_series_factor, mat_inv
 from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
                               oracle_verdict, sector_hh_series,
@@ -180,3 +181,35 @@ def test_s3_invariant_ring_dimensions():
 def test_oracle_verdict_smoke():
     G = generate(SIGN_1D, 100)
     assert oracle_verdict(G, 4) is None
+
+
+def _per_element_hh(sec, t_max):
+    # one term per centralizer element, with the dual action D = A^-1
+    Z = sec.class_ref.centralizer
+    total = BiSeries.zero(sec.fixed_dim, t_max)
+    for h in Z:
+        D = mat_inv(sec.restricted_action[h]) if sec.fixed_dim else ()
+        num = det_series_factor(D, t_max, sign="plus", marker="ut")
+        den = det_series_factor(D, t_max, sign="minus", marker="t",
+                                reciprocal=True)
+        total = total + num * den
+    return total.scale(F(1, len(Z)))
+
+
+def _per_element_hhcoh(sec, t_max):
+    Z = sec.class_ref.centralizer
+    total = BiSeries.zero(sec.n, t_max)
+    for h in Z:
+        A = sec.restricted_action[h]
+        lam = det_series_factor(A, t_max, sign="plus", marker="u")
+        sym = det_series_factor(mat_inv(A) if sec.fixed_dim else (), t_max,
+                                sign="minus", marker="t", reciprocal=True)
+        total = total + (lam * sym).shift_u(sec.c_g).scale(sec.det_normal_char[h])
+    return total.scale(F(1, len(Z)))
+
+
+def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
+    for G in zoo_groups.values():
+        for sec in _sectors(G):
+            assert sector_hh_series(sec, 8) == _per_element_hh(sec, 8)
+            assert sector_hhcoh_series(sec, 8) == _per_element_hhcoh(sec, 8)

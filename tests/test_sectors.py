@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from orbifold_hkr.exact import NotInvertible, mat_identity, mat_rank, mat_sub, mat_vec
-from orbifold_hkr.groups import conjugacy_classes, generate
+from orbifold_hkr.exact import (NotInvertible, mat_identity, mat_mul, mat_rank,
+                                mat_sub, mat_vec)
+from orbifold_hkr.groups import conjugacy_classes, generate, matrix_key
 from orbifold_hkr.sectors import (build_sector, derived_fixed_hilbert, monomials,
                                   shifted_tangent_hilbert)
 
@@ -74,7 +75,7 @@ def test_det_normal_char_is_multiplicative(zoo_groups):
             Z = cls.centralizer
             for h1 in Z:
                 for h2 in Z:
-                    prod = G.product(h1, h2)
+                    prod = matrix_key(mat_mul(h1, h2))
                     assert (sec.det_normal_char[prod]
                             == sec.det_normal_char[h1] * sec.det_normal_char[h2])
 
