@@ -163,15 +163,12 @@ def central_complex(n):
     s = (QZERO,) + (QONE,) * n
     if any(mat_vec(D, s)):
         raise RuntimeError("the diagonal class is not in the kernel")
-    # source rotation: a_0 fixed, a_j picks up a_{j-1} cyclically in 1..n
-    T = [[QZERO] * (n + 1) for _ in range(n + 1)]
-    T[0][0] = QONE
-    for j in range(1, n + 1):
-        T[j][n if j == 1 else j - 1] = QONE
-    N = [[QZERO] * n for _ in range(n)]
-    for i in range(n):
-        N[i][(i - 1) % n] = QONE
-    if mat_mul(D, T) != mat_mul(N, D):
+    # the rotations as index maps: (T x)_j = x_src[j] on the source, with a_0
+    # fixed and a_j picking up a_{j-1} cyclically in 1..n, and (N y)_i =
+    # y_tgt[i] on the target; D T = N D says D[i][j] = D[tgt[i]][src[j]]
+    src = [0, n] + list(range(1, n))
+    tgt = [(i - 1) % n for i in range(n)]
+    if any(D[i][j] != D[tgt[i]][src[j]] for i in range(n) for j in range(n + 1)):
         raise RuntimeError("rotation does not commute with the differential")
     kernel = nullspace_basis(D)
     h0 = len(kernel) - 1
@@ -192,21 +189,20 @@ def central_complex(n):
     u = tuple(QONE if i == 0 else QZERO for i in range(n))
     A = [[w[i], s[i]] for i in range(n + 1)]
     A1 = [[u[i]] + [D[i][j] for j in range(n + 1)] for i in range(n)]
-    chars = [(QONE, QONE)]
-    # Tw = T^p w and Nu = N^p u, advanced one power at a time
-    Tw, Nu = w, u
+    # T^p w and N^p u for p = 1..n-1, each from the one before
+    Tws, Nus = [w], [u]
     for _ in range(1, n):
-        Tw = mat_vec(T, Tw)
-        Nu = mat_vec(N, Nu)
-        # H^0: solve T^p w = lam w + mu s; lam is forced since w, s independent
-        sol = linear_solve(A, Tw)
-        if sol is None:
-            raise RuntimeError("rotation image left the kernel")
-        # H^1: solve N^p u = lam u + D x; lam is forced since u is off the image
-        sol1 = linear_solve(A1, Nu)
-        if sol1 is None:
-            raise RuntimeError("rotation image left the target")
-        chars.append((sol[0], sol1[0]))
+        Tws.append(tuple(Tws[-1][k] for k in src))
+        Nus.append(tuple(Nus[-1][k] for k in tgt))
+    # H^0: solve T^p w = lam w + mu s; lam is forced since w, s independent
+    sols = linear_solve(A, Tws[1:])
+    if sols is None:
+        raise RuntimeError("rotation image left the kernel")
+    # H^1: solve N^p u = lam u + D x; lam is forced since u is off the image
+    sols1 = linear_solve(A1, Nus[1:])
+    if sols1 is None:
+        raise RuntimeError("rotation image left the target")
+    chars = [(QONE, QONE)] + [(x[0], y[0]) for x, y in zip(sols, sols1)]
     trivial = all(a == QONE and b == QONE for a, b in chars)
     return CentralReport(h0, h1, tuple(chars), trivial)
 

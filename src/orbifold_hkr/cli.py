@@ -3,7 +3,7 @@
 Reads a JSON job document (from --spec or stdin), validates it against the
 per-command schema, runs the computation, and prints a deterministic JSON or
 plain-table report.  Exit codes: 0 success, 2 bad input, 3 a size cap was
-exceeded or a generator has infinite order, 4 the oracle cross-check
+exceeded or a generator or the group is infinite, 4 the oracle cross-check
 disagreed (report still printed).
 """
 

@@ -5,9 +5,14 @@ truncated bigraded series, and integer Smith normal form.  Everything is
 rational: characteristic polynomials come from Faddeev-LeVerrier traces, so no
 eigenvalue is ever needed.  Every value is immutable after construction; every
 function is pure.
+
+There is one elimination loop, _echelon: fraction-free (Bareiss) Gauss-Jordan
+on integer-cleared rows.  rref, mat_rank, nullspace_basis, linear_solve,
+mat_inv and mat_det are views of its result.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 import re
 
@@ -76,38 +81,83 @@ def mat_vec(A, v):
     return tuple(sum(map(mul, row, v), QZERO) for row in A)
 
 
+def _echelon(A):
+    """The one elimination loop: fraction-free Gauss-Jordan on the rows of A.
+
+    Each row is cleared of denominators and divided by its content, then
+    eliminated Bareiss-style: a touched row becomes (piv * x - f * y) // q,
+    exact because every entry stays a minor of the cleared matrix.  q is the
+    pivot the row last saw, so a row with a zero in the pivot column is left
+    as it is and catches up at its next update; sparse rows cost nothing
+    until touched.  Rows that fall to zero are dropped.
+
+    Returns (rows, pivots, (s, t)): rows[i] is an integer multiple of the
+    i-th nonzero row of the reduced echelon form, with its pivot in column
+    pivots[i]; for square A of full rank det(A) = s * p / t, p the last
+    pivot entry.
+    """
+    s = t = 1
+    rest = []  # [row, the pivot it last saw] of each row not yet a pivot row
+    for row in A:
+        den = lcm(*[x.denominator for x in row])
+        ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
+                else [x.numerator for x in row])
+        g = gcd(*ints)
+        if g:
+            rest.append([[x // g for x in ints] if g > 1 else ints, 1])
+            s *= g
+            t *= den
+    top = []   # the same for the pivot rows, in pivot order
+    pivots = []
+    prev = 1
+    for c in range(len(A[0]) if A else 0):
+        if not rest:
+            break
+        for j, entry in enumerate(rest):
+            if entry[0][c]:
+                break
+        else:
+            continue
+        del rest[j]
+        if j % 2:
+            s = -s
+        prow, seen = entry
+        if seen != prev:
+            prow = [x * prev // seen for x in prow]
+        piv = prow[c]
+        for entry in top:
+            row, seen = entry
+            f = row[c]
+            if f:
+                entry[0] = [(piv * x - f * y) // seen for x, y in zip(row, prow)]
+                entry[1] = piv
+        kept = []
+        for entry in rest:
+            row, seen = entry
+            f = row[c]
+            if f:
+                row = [(piv * x - f * y) // seen for x, y in zip(row, prow)]
+                if not any(row):
+                    continue
+                entry = [row, piv]
+            kept.append(entry)
+        rest = kept
+        top.append([prow, piv])
+        pivots.append(c)
+        prev = piv
+    return [row for row, _ in top], pivots, (s, t)
+
+
 def rref(A):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [[_lift(x) for x in row] for row in A]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    rows, pivots, _ = _echelon(A)
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    ncols = len(A[0]) if A else 0
+    return out + [[QZERO] * ncols for _ in range(len(A) - len(rows))], pivots
 
 
 def mat_rank(A):
-    return len(rref(A)[1])
+    return len(_echelon(A)[1])
 
 
 def nullspace_basis(A):
@@ -115,7 +165,7 @@ def nullspace_basis(A):
     if not A:
         return []
     ncols = len(A[0])
-    rows, pivots = rref(A)
+    rows, pivots, _ = _echelon(A)
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
@@ -123,66 +173,55 @@ def nullspace_basis(A):
             continue
         v = [QZERO] * ncols
         v[f] = QONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+        for row, p in zip(rows, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return basis
 
 
-def linear_solve(A, b):
-    """One solution of A x = b with free variables zeroed, or None if none exists."""
+def linear_solve(A, rhs):
+    """One solution of A x = b for each b in rhs, free variables zeroed, from
+    one echelon of [A | b_1 ... b_k]; None if any b is outside the column
+    span of A."""
     if not A:
-        return ()
+        return [()] * len(rhs)
     ncols = len(A[0])
-    aug = [list(A[i]) + [b[i]] for i in range(len(A))]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
+    rows, pivots, _ = _echelon([list(a) + [b[i] for b in rhs] for i, a in enumerate(A)])
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [QZERO] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][ncols]
-    return tuple(x)
+    sols = []
+    for j in range(ncols, ncols + len(rhs)):
+        x = [QZERO] * ncols
+        for row, p in zip(rows, pivots):
+            x[p] = Fraction(row[j], row[p])
+        sols.append(tuple(x))
+    return sols
 
 
 def mat_inv(A):
-    """Inverse as the right half of rref([A | I]); raises NotInvertible on
-    singular input.
+    """Inverse as the right half of the echelon of [A | I]; raises
+    NotInvertible on singular input.
 
     [A | I] always has rank n, so A is invertible exactly when the n pivots
     are the columns of A.
     """
     n = len(A)
-    rows, pivots = rref([list(a) + list(e) for a, e in zip(A, mat_identity(n))])
+    rows, pivots, _ = _echelon([list(a) + [int(i == j) for j in range(n)]
+                                for i, a in enumerate(A)])
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                 for i, row in enumerate(rows))
 
 
 def mat_det(A):
-    """Determinant by fraction-free-enough elimination (rational entries)."""
-    n = len(A)
-    if n == 0:
+    """Determinant from the echelon: the last pivot times the row scaling."""
+    if not A:
         return QONE
-    rows = [[_lift(x) for x in row] for row in A]
-    det = QONE
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return QZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        piv = rows[c][c]
-        det = det * piv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / piv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+    rows, pivots, (s, t) = _echelon(A)
+    if len(pivots) < len(A):
+        return QZERO
+    return Fraction(s * rows[-1][pivots[-1]], t)
 
 
 def elementary_symmetric(M):

@@ -58,6 +58,24 @@ def max_finite_order(n):
     return best[n]
 
 
+def minkowski_bound(n):
+    """Minkowski's bound M(n) = prod_p p^(sum_k floor(n / (p^k (p - 1)))),
+    k >= 0: the order of every finite subgroup of GL_n(Q) divides it.
+
+    >>> [minkowski_bound(n) for n in range(1, 6)]
+    [2, 24, 48, 5760, 11520]
+    """
+    bound = 1
+    for p in range(2, n + 2):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        q = p - 1
+        while q <= n:
+            bound *= p ** (n // q)
+            q *= p
+    return bound
+
+
 def element_order(M, cap=DEFAULT_CAP):
     """Multiplicative order of M; OrderCapExceeded past the cap, or past
     max_finite_order(n), where the order is known to be infinite."""
@@ -121,10 +139,12 @@ def generate(generators, cap=DEFAULT_CAP):
     Breadth-first closure under right multiplication by the generators;
     inverses come for free once the closure is finite.  Raises NotInvertible
     on a singular generator, OrderCapExceeded on an infinite-order generator,
-    CapExceeded when the closure itself grows past the cap.
+    CapExceeded when the closure itself grows past the cap, or past
+    minkowski_bound(n), where the group is known to be infinite.
     """
     gens = [matrix_key(M) for M in generators]
     n = _check_square(gens)
+    bound = minkowski_bound(n)
     for g in gens:
         mat_inv(g)  # raises NotInvertible on singular input
         element_order(g, cap)
@@ -139,6 +159,10 @@ def generate(generators, cap=DEFAULT_CAP):
                 index[p] = len(elements)
                 elements.append(p)
                 parents.append((i, k))
+                if len(elements) > bound:
+                    raise CapExceeded("group is infinite: it has more than %d "
+                                      "elements, Minkowski's bound for GL_%d(Q)"
+                                      % (bound, n))
                 if len(elements) > cap:
                     raise CapExceeded("group order exceeds cap %d" % cap)
             right[k].append(index[p])

@@ -5,7 +5,10 @@ Two independent routes to the same numbers:
   * Molien averaging: each centralizer element contributes a closed-form
     rational factor and the average is expanded as an exact bigraded series.
   * A brute-force oracle: explicit representation matrices on a monomial and
-    exterior basis, then the rank of the averaging projector.
+    exterior basis, then the rank of the averaging projector.  The matrices
+    are integer: each sector's Sym^k images are built once, degree by degree,
+    and its Lambda^p minors once per p; the projector, summed over a common
+    denominator, is ranked exactly by the one elimination kernel of exact.
 
 The oracle shares no series or characteristic-polynomial code with the Molien
 path on purpose; agreement of the two is the correctness argument.
@@ -19,10 +22,10 @@ lowers weight by one.
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
 
-from .exact import (BiSeries, QONE, QZERO, det_series_factor,
-                    elementary_symmetric, mat_det, mat_inv, mat_rank,
-                    transpose)
+from .exact import (BiSeries, QONE, det_series_factor, elementary_symmetric,
+                    mat_inv, mat_rank, transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
 
@@ -114,30 +117,74 @@ def sector_hhcoh_series(sector, t_max):
                            .shift_u(sector.c_g))
 
 
-def _linear_substitute(poly, row):
-    # multiply a polynomial dict {exponents: coeff} by sum_j row[j] y_j
-    out = {}
-    for expo, c in poly.items():
-        for j, bj in enumerate(row):
-            if bj:
-                e2 = list(expo)
-                e2[j] += 1
-                e2 = tuple(e2)
-                out[e2] = out.get(e2, QZERO) + c * bj
+def _clear(M):
+    # (D, M * D) with D the least common denominator of M's entries
+    D = lcm(*[x.denominator for row in M for x in row])
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in M]
+
+
+def _ext_minors(C, f):
+    # Lambda^p of the integer matrix C for p = 0..f: per p, per p-subset I in
+    # combinations order, the nonzero (index of J, minor C[I, J]); a p-minor
+    # is expanded along its first row into (p - 1)-minors
+    minors = {((), ()): 1}
+    out = [[[(0, 1)]]]
+    for p in range(1, f + 1):
+        subsets = list(combinations(range(f), p))
+        minors = {(I, J): sum((-1) ** k * C[I[0]][J[k]] * minors[I[1:], J[:k] + J[k + 1:]]
+                              for k in range(p))
+                  for I in subsets for J in subsets}
+        out.append([[(j, minors[I, J]) for j, J in enumerate(subsets) if minors[I, J]]
+                    for I in subsets])
     return out
 
 
-def _monomial_image(B, alpha):
-    # image of y^alpha when y_i maps to sum_j B[i][j] y_j
-    poly = {tuple([0] * len(alpha)): QONE}
-    for i, a in enumerate(alpha):
-        for _ in range(a):
-            poly = _linear_substitute(poly, B[i])
-    return poly
+def _oracle_tables(sector):
+    # the integer data of every centralizer element h, made once per sector
+    # and kept on it: "dual" holds (D_h, B_h D_h) with B_h = A_h^-1 the dual
+    # action, "sym"[k] the Sym^k images, and each mode its (E_h, Lambda minors
+    # of C_h E_h), C_h = B_h for forms and A_h^T for polyvectors
+    if sector._oracle is None:
+        f = sector.fixed_dim
+        actions = [sector.restricted_action[h] for h in sector.class_ref.centralizer]
+        dual = [_clear(mat_inv(A) if f else ()) for A in actions]
+        sector._oracle = {
+            "dual": dual,
+            "sym": [[[{0: 1}] for _ in dual]],
+            "forms": [(D, _ext_minors(B, f)) for D, B in dual],
+            "polyvectors_twisted": [(E, _ext_minors(C, f)) for E, C in
+                                    (_clear(transpose(A)) for A in actions)],
+        }
+    return sector._oracle
 
 
-def _minor(C, rows, cols):
-    return mat_det(tuple(tuple(C[i][j] for j in cols) for i in rows))
+def _sym_images(tables, f, k):
+    # per h, the image of each degree-k monomial (monomials(f, k) order) as
+    # {index of a degree-k monomial: integer coefficient} over D_h^k; the
+    # image of x^alpha is that of x^(alpha - e_i) times row i of B_h D_h
+    levels = tables["sym"]
+    while len(levels) <= k:
+        lower = {m: i for i, m in enumerate(monomials(f, len(levels) - 1))}
+        monos = monomials(f, len(levels))
+        index = {m: i for i, m in enumerate(monos)}
+        up = [[index[m[:i] + (m[i] + 1,) + m[i + 1:]] for i in range(f)] for m in lower]
+        steps = []
+        for alpha in monos:
+            i = next(i for i, a in enumerate(alpha) if a)
+            steps.append((i, lower[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]))
+        level = []
+        for (_, B), images in zip(tables["dual"], levels[-1]):
+            out = []
+            for i, parent in steps:
+                poly = {}
+                for b, cb in images[parent].items():
+                    for t, bt in zip(up[b], B[i]):
+                        if bt:
+                            poly[t] = poly.get(t, 0) + cb * bt
+                out.append({t: c for t, c in poly.items() if c})
+            level.append(out)
+        levels.append(level)
+    return levels[k]
 
 
 def brute_force_invariants(sector, p, d, mode):
@@ -149,58 +196,48 @@ def brute_force_invariants(sector, p, d, mode):
     and the determinant-of-normal twist, matching the cohomology table's
     column convention.
 
-    Builds explicit representation matrices on the monomial/exterior basis
-    and takes the exact rank of (1/|Z|) sum of them.
+    Sums explicit representation matrices on the monomial/exterior basis and
+    takes the exact rank.  Everything is integer: each sector's Sym images
+    (built degree by degree) and Lambda minors are made once and kept on the
+    Sector, each matrix is scaled to the common denominator of the cell, and
+    the 1/|Z| of the projector is left out, since no scaling changes a rank.
     """
     if mode == "forms":
         deg = d - p
-        twisted = False
     elif mode == "polyvectors_twisted":
         deg = d
-        twisted = True
     else:
         raise ValueError("mode must be 'forms' or 'polyvectors_twisted'")
     f = sector.fixed_dim
     if p < 0 or p > f or deg < 0:
         return 0
-    monos = monomials(f, deg)
-    subsets = list(combinations(range(f), p))
-    dim = len(monos) * len(subsets)
+    ns = comb(f, p)
+    dim = len(monomials(f, deg)) * ns
     if dim == 0:
         return 0
     if dim > ORACLE_GUARD:
         raise BasisTooLarge("oracle basis has %d elements (guard %d)"
                             % (dim, ORACLE_GUARD))
-    midx = {m: i for i, m in enumerate(monos)}
-    sidx = {s: i for i, s in enumerate(subsets)}
-    ns = len(subsets)
-    Z = sector.class_ref.centralizer
-    P = [[QZERO] * dim for _ in range(dim)]
-    for h in Z:
-        A = sector.restricted_action[h]
-        B = mat_inv(A) if f else ()
-        C = B if mode == "forms" else transpose(A)
-        scale = sector.det_normal_char[h] if twisted else QONE
-        ext = {}
-        for I in subsets:
-            images = {}
-            for J in subsets:
-                m = _minor(C, I, J)
-                if m:
-                    images[J] = m
-            ext[I] = images
-        for a, alpha in enumerate(monos):
-            poly = _monomial_image(B, alpha)
-            for I in subsets:
-                col = a * ns + sidx[I]
-                for beta, cb in poly.items():
-                    if not cb:
-                        continue
-                    b = midx[beta]
-                    for J, mj in ext[I].items():
-                        P[b * ns + sidx[J]][col] += scale * cb * mj
-    inv = Fraction(1, len(Z))
-    P = [[v * inv for v in row] for row in P]
+    tables = _oracle_tables(sector)
+    ext = tables[mode]
+    chars = [sector.det_normal_char[h] if mode == "polyvectors_twisted" else QONE
+             for h in sector.class_ref.centralizer]
+    # the matrix of h is (integer matrix) / (den(chi_h) D_h^deg E_h^p)
+    dens = [chi.denominator * D ** deg * E ** p
+            for chi, (D, _), (E, _) in zip(chars, tables["dual"], ext)]
+    L = lcm(*dens)
+    P = [[0] * dim for _ in range(dim)]
+    for chi, den, images, (_, minors) in zip(chars, dens,
+                                             _sym_images(tables, f, deg), ext):
+        w = chi.numerator * (L // den)
+        for a, image in enumerate(images):
+            for i, targets in enumerate(minors[p]):
+                col = a * ns + i
+                for b, cb in image.items():
+                    base = b * ns
+                    wc = w * cb
+                    for j, mj in targets:
+                        P[base + j][col] += wc * mj
     return mat_rank(P)
 
 

@@ -31,10 +31,14 @@ def monomials(nvars, degree):
 
 
 class Sector:
-    """One twisted sector: class data plus the linear geometry of V^g."""
+    """One twisted sector: class data plus the linear geometry of V^g.
+
+    _oracle holds the integer images that hkr.brute_force_invariants makes
+    for this sector; they live and die with it, and nothing else reads them.
+    """
 
     __slots__ = ("class_ref", "n", "fixed_basis", "c_g", "det_normal_char",
-                 "restricted_action")
+                 "restricted_action", "_oracle")
 
     def __init__(self, class_ref, n, fixed_basis, c_g, det_normal_char,
                  restricted_action):
@@ -44,6 +48,7 @@ class Sector:
         self.c_g = c_g
         self.det_normal_char = det_normal_char
         self.restricted_action = restricted_action
+        self._oracle = None
 
     @property
     def fixed_dim(self):

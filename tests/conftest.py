@@ -21,6 +21,11 @@ C3_RAT = (m([[0, -1], [1, -1]]),)
 C6_RAT = (m([[1, -1], [1, 0]]),)
 D4 = (m([[0, -1], [1, 0]]), m([[1, 0], [0, -1]]))
 C4_SCALED = (m([[0, -2], [F(1, 2), 0]]),)
+B3 = (m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+      m([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+      m([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+# a det-3 change of basis that gives B3 non-integer entries
+B3_BASIS = m([[1, 1, 0], [-1, 1, 1], [0, 1, 2]])
 
 SWEEP = {
     "C2 sign on A1": SIGN_1D,
@@ -46,3 +51,32 @@ def sweep_groups():
 @pytest.fixture(scope="session")
 def zoo_groups():
     return {name: generate(gens, 100000) for name, gens in ZOO.items()}
+
+
+def fraction_gauss_jordan(A):
+    """Reference reduced row echelon form by plain Fraction Gauss-Jordan:
+    (rows, pivots, det), det the determinant when A is square."""
+    rows = [[F(x) for x in row] for row in A]
+    ncols = len(rows[0]) if rows else 0
+    pivots, det, r = [], F(1), 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det = -det
+        piv = rows[r][c]
+        det *= piv
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if len(pivots) < len(rows):
+        det = F(0)
+    return rows, pivots, det

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -188,6 +189,17 @@ def test_main_growing_generator_exit_3(tmp_path, capsys):
     spec.write_text('{"command": "quotient", "generators": [[[2, 0], [0, 1]]]}')
     assert main(["quotient", "--spec", str(spec)]) == 3
     assert "infinite order" in capsys.readouterr().err
+
+
+def test_main_infinite_dihedral_exit_3(tmp_path, capsys):
+    # finite-order generators, infinite group: Minkowski's bound stops it
+    spec = tmp_path / "job.json"
+    spec.write_text('{"command": "quotient", '
+                    '"generators": [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]]}')
+    start = time.perf_counter()
+    assert main(["quotient", "--spec", str(spec)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "infinite" in capsys.readouterr().err
 
 
 def test_main_flag_overrides(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 from itertools import combinations
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from orbifold_hkr.exact import (BadRational, BiSeries, IntMatrix,
                                 NotInvertible, QONE, det_series_factor,
                                 elementary_symmetric, linear_solve, mat_det,
-                                mat_identity, mat_inv, mat_mul, parse_rational,
+                                mat_identity, mat_inv, mat_mul, mat_rank,
+                                nullspace_basis, parse_rational, rref,
                                 smith_normal_form)
 
-from conftest import m
+from conftest import fraction_gauss_jordan, m
 
 F = Fraction
 
@@ -107,10 +109,13 @@ def test_smith_divisibility_and_minor_gcds(rows):
 
 def test_linear_solve_consistent_and_not():
     A = [[F(1), F(2)], [F(3), F(4)]]
-    x = linear_solve(A, (F(5), F(11)))
-    assert x == (F(1), F(2))
+    x = linear_solve(A, [(F(5), F(11))])
+    assert x == [(F(1), F(2))]
+    assert linear_solve(A, [(F(5), F(11)), (F(1), F(3))]) == [(F(1), F(2)), (F(1), F(0))]
     A2 = [[F(1), F(0)], [F(1), F(0)]]
-    assert linear_solve(A2, (F(0), F(1))) is None
+    assert linear_solve(A2, [(F(0), F(1))]) is None
+    # one right-hand side outside the span fails the whole batch
+    assert linear_solve(A2, [(F(1), F(1)), (F(0), F(1))]) is None
 
 
 def test_mat_inv_singular_raises():
@@ -147,3 +152,60 @@ def test_intmatrix_shape_checks():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     assert IntMatrix([[1, 2]]).cols == 2
+
+
+# the fraction-free kernel against plain Fraction Gauss-Jordan -------------------
+
+def _kernel_cases(rng):
+    def entry():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-6, 6), rng.randint(1, 5))
+
+    cases = [[], [[]], [[], []], [[F(0)] * 3], [[F(0)] * 2] * 2]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+        kind = rng.randrange(3)
+        if kind == 0:
+            A = [[entry() for _ in range(cols)] for _ in range(rows)]
+        elif kind == 1:  # rank at most k
+            k = rng.randint(1, min(rows, cols))
+            A = mat_mul([[entry() for _ in range(k)] for _ in range(rows)],
+                        [[entry() for _ in range(cols)] for _ in range(k)])
+        else:  # a zero row and a zero column
+            A = [[entry() for _ in range(cols)] for _ in range(rows)]
+            zr, zc = rng.randrange(rows), rng.randrange(cols)
+            A = [[F(0) if i == zr or j == zc else x for j, x in enumerate(row)]
+                 for i, row in enumerate(A)]
+        cases.append(A)
+        # the leading square block, singular in kind 1 when k < rows
+        if cols >= rows:
+            cases.append([row[:rows] for row in A])
+    return cases
+
+
+def test_kernel_matches_fraction_gauss_jordan():
+    for A in _kernel_cases(random.Random(20240607)):
+        rows, pivots, det = fraction_gauss_jordan(A)
+        assert rref(A) == (rows, pivots)
+        assert mat_rank(A) == len(pivots)
+        ncols = len(A[0]) if A else 0
+        if A:
+            want = []
+            for f in range(ncols):
+                if f not in pivots:
+                    v = [F(0)] * ncols
+                    v[f] = F(1)
+                    for row, p in zip(rows, pivots):
+                        v[p] = -row[f]
+                    want.append(tuple(v))
+            assert nullspace_basis(A) == want
+        if len(A) == ncols:
+            assert mat_det(A) == det
+            n = len(A)
+            if det:
+                inv = fraction_gauss_jordan(
+                    [list(a) + [F(int(i == j)) for j in range(n)]
+                     for i, a in enumerate(A)])[0]
+                assert mat_inv(A) == tuple(tuple(row[n:]) for row in inv)
+            else:
+                with pytest.raises(NotInvertible):
+                    mat_inv(A)

@@ -1,14 +1,14 @@
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
 from orbifold_hkr.exact import NotInvertible, mat_inv, mat_mul
 from orbifold_hkr.groups import (CapExceeded, OrderCapExceeded, conjugacy_classes,
                                  element_order, generate, matrix_key,
-                                 max_finite_order)
+                                 max_finite_order, minkowski_bound)
 
-from conftest import D4, ROT4, S3_PERM, SIGN_1D, m
+from conftest import B3, B3_BASIS, D4, ROT4, S3_PERM, SIGN_1D, m
 
 F = Fraction
 
@@ -83,6 +83,24 @@ def test_cap_exceeded():
     # generator orders (4 and 2) stay under the cap, the closure does not
     with pytest.raises(CapExceeded):
         generate(D4, 5)
+
+
+def test_infinite_group_of_finite_order_generators_stops_at_minkowski():
+    # two reflections whose product is a shear: the infinite dihedral group
+    gens = (m([[-1, 0], [0, 1]]), m([[-1, 1], [0, 1]]))
+    with pytest.raises(CapExceeded, match="infinite"):
+        generate(gens)
+
+
+def test_hyperoctahedral_orders_divide_minkowski():
+    assert [minkowski_bound(n) for n in range(1, 6)] == [2, 24, 48, 5760, 11520]
+    for n in range(1, 9):
+        assert minkowski_bound(n) % (2 ** n * factorial(n)) == 0
+
+
+def test_zoo_orders_divide_minkowski(zoo_groups):
+    for G in zoo_groups.values():
+        assert minkowski_bound(G.n) % G.order == 0
 
 
 def test_identity_first_in_enumeration():
@@ -172,18 +190,10 @@ def test_closure_under_product_and_inverse(zoo_groups):
                 assert matrix_key(mat_mul(a, b)) in elements
 
 
-def _b3_coxeter():
-    return (m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-            m([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
-            m([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
-
-
-@pytest.mark.parametrize("basis", [None, [[1, 1, 0], [-1, 1, 1], [0, 1, 2]]],
-                         ids=["coxeter", "conjugate"])
-def test_index_classes_match_matrix_arithmetic(basis):
-    gens = _b3_coxeter()
-    if basis is not None:
-        P = m(basis)
+@pytest.mark.parametrize("P", [None, B3_BASIS], ids=["coxeter", "conjugate"])
+def test_index_classes_match_matrix_arithmetic(P):
+    gens = B3
+    if P is not None:
         gens = tuple(mat_mul(mat_mul(P, g), mat_inv(P)) for g in gens)
     G = generate(gens, 1000)
     assert G.order == 48

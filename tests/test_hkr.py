@@ -1,15 +1,20 @@
 from fractions import Fraction
+from itertools import combinations
+from types import FunctionType
 
 import pytest
 
-from orbifold_hkr.exact import BiSeries, det_series_factor, mat_inv
+from orbifold_hkr import hkr
+from orbifold_hkr.exact import (BiSeries, det_series_factor, mat_inv, mat_mul,
+                                transpose)
 from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
                               oracle_verdict, sector_hh_series,
                               sector_hhcoh_series)
-from orbifold_hkr.sectors import build_sector
+from orbifold_hkr.sectors import build_sector, monomials
 
-from conftest import MINUS_I2, ROT4, S3_PERM, SIGN_1D, m
+from conftest import (B3, B3_BASIS, MINUS_I2, ROT4, S3_PERM, SIGN_1D,
+                      fraction_gauss_jordan, m)
 
 F = Fraction
 
@@ -213,3 +218,109 @@ def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
         for sec in _sectors(G):
             assert sector_hh_series(sec, 8) == _per_element_hh(sec, 8)
             assert sector_hhcoh_series(sec, 8) == _per_element_hhcoh(sec, 8)
+
+
+# the oracle against its dense Fraction form ----------------------------------------
+
+def _linear_substitute(poly, row):
+    # multiply a polynomial dict {exponents: coeff} by sum_j row[j] y_j
+    out = {}
+    for expo, c in poly.items():
+        for j, bj in enumerate(row):
+            if bj:
+                e2 = list(expo)
+                e2[j] += 1
+                e2 = tuple(e2)
+                out[e2] = out.get(e2, F(0)) + c * bj
+    return out
+
+
+def _monomial_image(B, alpha):
+    # image of y^alpha when y_i maps to sum_j B[i][j] y_j
+    poly = {tuple([0] * len(alpha)): F(1)}
+    for i, a in enumerate(alpha):
+        for _ in range(a):
+            poly = _linear_substitute(poly, B[i])
+    return poly
+
+
+def _minor(C, rows, cols):
+    return fraction_gauss_jordan([[C[i][j] for j in cols] for i in rows])[2]
+
+
+def _reference_oracle(sector, p, d, mode):
+    # rank of (1/|Z|) sum of the dense Fraction representation matrices,
+    # every monomial image rebuilt from degree 0
+    deg = d - p if mode == "forms" else d
+    f = sector.fixed_dim
+    if p < 0 or p > f or deg < 0:
+        return 0
+    monos = monomials(f, deg)
+    subsets = list(combinations(range(f), p))
+    dim = len(monos) * len(subsets)
+    if dim == 0:
+        return 0
+    midx = {mono: i for i, mono in enumerate(monos)}
+    sidx = {sub: i for i, sub in enumerate(subsets)}
+    ns = len(subsets)
+    Z = sector.class_ref.centralizer
+    P = [[F(0)] * dim for _ in range(dim)]
+    for h in Z:
+        A = sector.restricted_action[h]
+        B = [row[f:] for row in fraction_gauss_jordan(
+            [list(a) + [F(int(i == j)) for j in range(f)]
+             for i, a in enumerate(A)])[0]]
+        C = B if mode == "forms" else transpose(A)
+        scale = sector.det_normal_char[h] if mode != "forms" else F(1)
+        ext = {I: {J: _minor(C, I, J) for J in subsets} for I in subsets}
+        for a, alpha in enumerate(monos):
+            poly = _monomial_image(B, alpha)
+            for I in subsets:
+                col = a * ns + sidx[I]
+                for beta, cb in poly.items():
+                    for J, mj in ext[I].items():
+                        P[midx[beta] * ns + sidx[J]][col] += scale * cb * mj
+    P = [[v / len(Z) for v in row] for row in P]
+    return len(fraction_gauss_jordan(P)[1])
+
+
+def _assert_oracle_matches_reference(G, t_max):
+    for sec in _sectors(G):
+        for mode in ("forms", "polyvectors_twisted"):
+            for p in range(sec.fixed_dim + 1):
+                for d in range(t_max + 1):
+                    assert (brute_force_invariants(sec, p, d, mode)
+                            == _reference_oracle(sec, p, d, mode)), (sec, mode, p, d)
+
+
+def test_oracle_matches_fraction_reference_on_zoo(zoo_groups):
+    for G in zoo_groups.values():
+        _assert_oracle_matches_reference(G, 5)
+
+
+def test_oracle_matches_fraction_reference_on_b3_conjugate():
+    # non-integer entries and sectors where the normal character is -1
+    G = generate(tuple(mat_mul(mat_mul(B3_BASIS, g), mat_inv(B3_BASIS))
+                       for g in B3), 1000)
+    secs = _sectors(G)
+    assert any(F(-1) in s.det_normal_char.values() for s in secs)
+    assert any(x.denominator > 1 for g in G.elements for row in g for x in row)
+    _assert_oracle_matches_reference(G, 4)
+
+
+def test_oracle_code_shares_nothing_with_molien():
+    # every name the oracle's code reads, following its helpers in hkr
+    seen, names = set(), set()
+    todo = [hkr.brute_force_invariants.__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+        todo.extend(v.__code__ for n, v in vars(hkr).items()
+                    if n in code.co_names and isinstance(v, FunctionType)
+                    and v.__module__ == hkr.__name__)
+    assert "_oracle_tables" in names and "_sym_images" in names
+    assert not names & {"elementary_symmetric", "det_series_factor", "_molien_average"}
