@@ -120,6 +120,7 @@ def test_oracle_guard():
     sec = _sectors(G)[0]
     with pytest.raises(BasisTooLarge):
         brute_force_invariants(sec, 4, 16, "forms")
+    assert sec._oracle is None  # the guard runs before any image is built
 
 
 def test_oracle_rejects_unknown_mode():
