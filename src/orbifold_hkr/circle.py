@@ -9,8 +9,9 @@ plus a union-find count of graph components; no simplicial machinery.
 
 from collections import namedtuple
 
-from .exact import (IntMatrix, QONE, QZERO, linear_solve, mat_mul, mat_rank,
-                    mat_vec, nullspace_basis, smith_normal_form)
+from .exact import (IntMatrix, InternalError, QONE, QZERO, linear_solve,
+                    mat_mul, mat_rank, mat_vec, nullspace_basis,
+                    smith_normal_form)
 
 
 class ChainComplex:
@@ -133,7 +134,7 @@ def fiber_dimension(n, at_zero=False):
                 M[tidx[(d, i)]][col] -= c
         dims.append(len(tgt) - mat_rank(M))
     if len(set(dims)) != 1:
-        raise RuntimeError("fiber dimension did not stabilize: %r" % (dims,))
+        raise InternalError("fiber dimension did not stabilize: %r" % (dims,))
     return dims[0]
 
 
@@ -162,20 +163,20 @@ def central_complex(n):
         D[i][(i + 1) % n + 1] -= QONE
     s = (QZERO,) + (QONE,) * n
     if any(mat_vec(D, s)):
-        raise RuntimeError("the diagonal class is not in the kernel")
+        raise InternalError("the diagonal class is not in the kernel")
     # the rotations as index maps: (T x)_j = x_src[j] on the source, with a_0
     # fixed and a_j picking up a_{j-1} cyclically in 1..n, and (N y)_i =
     # y_tgt[i] on the target; D T = N D says D[i][j] = D[tgt[i]][src[j]]
     src = [0, n] + list(range(1, n))
     tgt = [(i - 1) % n for i in range(n)]
     if any(D[i][j] != D[tgt[i]][src[j]] for i in range(n) for j in range(n + 1)):
-        raise RuntimeError("rotation does not commute with the differential")
+        raise InternalError("rotation does not commute with the differential")
     kernel = nullspace_basis(D)
     h0 = len(kernel) - 1
     rank = mat_rank(D)
     h1 = n - rank
     if h0 != 1 or h1 != 1:
-        raise RuntimeError("unexpected cohomology ranks (%d, %d)" % (h0, h1))
+        raise InternalError("unexpected cohomology ranks (%d, %d)" % (h0, h1))
     # a kernel vector independent of the collapsed diagonal class
     w = None
     for v in kernel:
@@ -183,7 +184,7 @@ def central_complex(n):
             w = v
             break
     if w is None:
-        raise RuntimeError("kernel collapsed onto the diagonal class")
+        raise InternalError("kernel collapsed onto the diagonal class")
     # coker generator: any target vector off the image; e_0 works since the
     # column sums of D vanish, so the sum functional kills the image
     u = tuple(QONE if i == 0 else QZERO for i in range(n))
@@ -197,11 +198,11 @@ def central_complex(n):
     # H^0: solve T^p w = lam w + mu s; lam is forced since w, s independent
     sols = linear_solve(A, Tws[1:])
     if sols is None:
-        raise RuntimeError("rotation image left the kernel")
+        raise InternalError("rotation image left the kernel")
     # H^1: solve N^p u = lam u + D x; lam is forced since u is off the image
     sols1 = linear_solve(A1, Nus[1:])
     if sols1 is None:
-        raise RuntimeError("rotation image left the target")
+        raise InternalError("rotation image left the target")
     chars = [(QONE, QONE)] + [(x[0], y[0]) for x, y in zip(sols, sols1)]
     trivial = all(a == QONE and b == QONE for a, b in chars)
     return CentralReport(h0, h1, tuple(chars), trivial)

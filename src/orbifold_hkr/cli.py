@@ -4,7 +4,8 @@ Reads a JSON job document (from --spec or stdin), validates it against the
 per-command schema, runs the computation, and prints a deterministic JSON or
 plain-table report.  Exit codes: 0 success, 2 bad input, 3 a size cap was
 exceeded or a generator or the group is infinite, 4 the oracle cross-check
-disagreed (report still printed).
+disagreed (report still printed), 5 an internal check failed (a bug: one
+line "internal error: ..." on stderr, no report).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 from . import __version__
 from .circle import (central_complex, cover_homology, fiber_dimension,
                      gamma_homology, generic_fiber_homology)
-from .exact import BadRational, NotInvertible, parse_rational
+from .exact import BadRational, InternalError, NotInvertible, parse_rational
 from .groups import (CapExceeded, DEFAULT_CAP, OrderCapExceeded, generate)
 from .hkr import BasisTooLarge, full_report, oracle_verdict
 from .wps import WeightedStack, hh_vector, inertia_components
@@ -375,6 +376,9 @@ def main(argv=None):
     except (CapExceeded, OrderCapExceeded, BasisTooLarge) as e:
         print("cap exceeded: %s" % e, file=sys.stderr)
         return 3
+    except InternalError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 5
     sys.stdout.write(render_json(report) if job.output == "json"
                      else render_table(report))
     oracle = report.get("oracle") or {}

@@ -28,6 +28,10 @@ class NotInvertible(ZeroDivisionError):
     """A matrix inverse was requested and the determinant vanishes."""
 
 
+class InternalError(RuntimeError):
+    """A check that holds for every valid input failed: a bug, not bad input."""
+
+
 # rationals -----------------------------------------------------------------
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
@@ -79,6 +83,29 @@ def transpose(A):
 
 def mat_vec(A, v):
     return tuple(sum(map(mul, row, v), QZERO) for row in A)
+
+
+# integer matrices over one denominator ---------------------------------------
+# A rational matrix M is the pair (d, N), N = d * M integral and d > 0 the
+# least such, i.e. the lcm of the entries' denominators; then
+# gcd(d, content of N) = 1, so the pair is unique and can serve as a key.
+
+def integer_form(M):
+    """(d, N) with d the lcm of the denominators of M and N = d * M, a tuple
+    of int tuples.  Entries may be ints or Fractions."""
+    d = lcm(*[x.denominator for row in M for x in row])
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M)
+
+
+def rational_matrix(d, N):
+    """The Fraction matrix N / d."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in N)
+
+
+def int_mat_mul(A, B):
+    """Product of integer matrices; a B with no rows gives empty rows."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 def _echelon(A):
@@ -225,20 +252,27 @@ def mat_det(A):
 
 
 def elementary_symmetric(M):
-    """e_0, ..., e_n of the eigenvalues of M via the Faddeev-LeVerrier recursion."""
+    """e_0, ..., e_n of the eigenvalues of M via the Faddeev-LeVerrier recursion.
+
+    The recursion runs on the integer matrix N = d * M of integer_form: the
+    characteristic polynomial sum c_k x^(n-k) of N is integral, so each
+    c_k = -trace / k is an exact integer division.  M = N / d has the
+    coefficients c_k / d^k, hence e_k = (-1)^k c_k / d^k.
+    """
     n = len(M)
-    B = M = tuple(tuple(_lift(x) for x in row) for row in M)
-    coeffs = [QONE]
+    d, N = integer_form(M)
+    B = N
+    coeffs = [1]
     for k in range(1, n + 1):
-        # B = M (B + c I) after the first step; its trace gives the next c
-        c = -sum((B[i][i] for i in range(n)), QZERO) / k
+        # B = N (B + c I) after the first step; its trace gives the next c
+        c = -sum(B[i][i] for i in range(n)) // k
         coeffs.append(c)
         if k < n:
             shifted = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
                             for i, row in enumerate(B))
-            B = mat_mul(M, shifted)
-    # char poly of M is sum coeffs[k] x^{n-k}, so e_k = (-1)^k coeffs[k]
-    return tuple(coeffs[k] if k % 2 == 0 else -coeffs[k] for k in range(n + 1))
+            B = int_mat_mul(N, shifted)
+    # char poly of M is sum coeffs[k] / d^k x^{n-k}, so e_k = (-1)^k coeffs[k] / d^k
+    return tuple(Fraction(-c if k % 2 else c, d ** k) for k, c in enumerate(coeffs))
 
 
 # truncated bigraded series --------------------------------------------------

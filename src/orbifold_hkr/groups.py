@@ -1,15 +1,19 @@
 """Finite matrix groups over Q.
 
-The breadth-first closure is the only place that multiplies matrices.  It
-keeps index permutation tables and each element's BFS parent, from which
-conjugacy classes, centralizers and the exponent are computed on integers.
+The breadth-first closure is the only place that multiplies group elements.
+It multiplies integer matrices over one denominator: each element is the
+pair (d, N) of exact.integer_form, and the Fraction matrices are made once,
+at the end.  It keeps index permutation tables and each element's BFS
+parent, from which conjugacy classes, centralizers and the exponent are
+computed on integers.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .exact import mat_identity, mat_inv, mat_mul
+from .exact import (int_mat_mul, integer_form, mat_identity, mat_inv,
+                    rational_matrix)
 
 DEFAULT_CAP = 100000
 
@@ -76,16 +80,28 @@ def minkowski_bound(n):
     return bound
 
 
+def _product(a, b):
+    # (d, N) of the product of two (d, N) pairs: divide out gcd(d, content)
+    d = a[0] * b[0]
+    N = int_mat_mul(a[1], b[1])
+    if d > 1:
+        g = gcd(d, *[x for row in N for x in row])
+        if g > 1:
+            d //= g
+            N = tuple(tuple(x // g for x in row) for row in N)
+    return d, N
+
+
 def element_order(M, cap=DEFAULT_CAP):
     """Multiplicative order of M; OrderCapExceeded past the cap, or past
     max_finite_order(n), where the order is known to be infinite."""
     n = len(M)
     bound = max_finite_order(n)
-    ident = mat_identity(n)
-    P = M = matrix_key(M)
+    ident = integer_form(mat_identity(n))
+    P = M = integer_form(M)
     k = 1
     while P != ident:
-        P = mat_mul(P, M)
+        P = _product(P, M)
         k += 1
         if k > bound:
             raise OrderCapExceeded("element has infinite order")
@@ -136,7 +152,8 @@ class MatrixGroup:
 def generate(generators, cap=DEFAULT_CAP):
     """Enumerate the group generated by exact rational matrices.
 
-    Breadth-first closure under right multiplication by the generators;
+    Breadth-first closure under right multiplication by the generators, on
+    the integer (d, N) pairs of exact.integer_form, which also key the index;
     inverses come for free once the closure is finite.  Raises NotInvertible
     on a singular generator, OrderCapExceeded on an infinite-order generator,
     CapExceeded when the closure itself grows past the cap, or past
@@ -148,13 +165,14 @@ def generate(generators, cap=DEFAULT_CAP):
     for g in gens:
         mat_inv(g)  # raises NotInvertible on singular input
         element_order(g, cap)
-    elements = [mat_identity(n)]
+    gens = [integer_form(g) for g in gens]
+    elements = [integer_form(mat_identity(n))]  # (d, N) pairs until the end
     index = {elements[0]: 0}
     parents = [None]
     right = [[] for _ in gens]
     for i, w in enumerate(elements):  # elements grows behind i, a BFS queue
         for k, g in enumerate(gens):
-            p = mat_mul(w, g)
+            p = _product(w, g)
             if p not in index:
                 index[p] = len(elements)
                 elements.append(p)
@@ -166,7 +184,8 @@ def generate(generators, cap=DEFAULT_CAP):
                 if len(elements) > cap:
                     raise CapExceeded("group order exceeds cap %d" % cap)
             right[k].append(index[p])
-    return MatrixGroup(n, elements, right, parents)
+    return MatrixGroup(n, [rational_matrix(d, N) for d, N in elements], right,
+                       parents)
 
 
 # one conjugacy class: earliest-enumerated representative, members, centralizer

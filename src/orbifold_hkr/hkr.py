@@ -24,8 +24,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from .exact import (BiSeries, QONE, det_series_factor, elementary_symmetric,
-                    mat_inv, mat_rank, transpose)
+from .exact import (BiSeries, InternalError, QONE, det_series_factor,
+                    elementary_symmetric, integer_form, mat_inv, mat_rank,
+                    transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
 
@@ -66,7 +67,7 @@ def _check_integral(series):
     for row in series.rows:
         for v in row:
             if v.denominator != 1 or v < 0:
-                raise RuntimeError(
+                raise InternalError(
                     "averaged series has a non-integral or negative entry; "
                     "this is a bug in the Molien pipeline")
     return series
@@ -76,12 +77,13 @@ def _molien_average(sector, t_max, u_max, twisted, numerator):
     # average of numerator(A) / det(I - t A) over the centralizer, A the
     # action on V^g, times the det-of-normal character when twisted; a term
     # depends only on the characteristic polynomial of A and that character,
-    # so it is summed once per distinct key, weighted by the key's count
+    # so it is summed once per distinct key, weighted by the key's count;
+    # both dicts list the centralizer in the same order, so they are read
+    # side by side without hashing a matrix key
     Z = sector.class_ref.centralizer
+    chars = sector.det_normal_char.values() if twisted else [QONE] * len(Z)
     groups = {}
-    for h in Z:
-        A = sector.restricted_action[h]
-        char = sector.det_normal_char[h] if twisted else QONE
+    for A, char in zip(sector.restricted_action.values(), chars):
         groups.setdefault((elementary_symmetric(A), char), [A, 0])[1] += 1
     total = BiSeries.zero(u_max, t_max)
     for (_, char), (A, count) in groups.items():
@@ -117,12 +119,6 @@ def sector_hhcoh_series(sector, t_max):
                            .shift_u(sector.c_g))
 
 
-def _clear(M):
-    # (D, M * D) with D the least common denominator of M's entries
-    D = lcm(*[x.denominator for row in M for x in row])
-    return D, [[x.numerator * (D // x.denominator) for x in row] for row in M]
-
-
 def _ext_minors(C, f):
     # Lambda^p of the integer matrix C for p = 0..f: per p, per p-subset I in
     # combinations order, the nonzero (index of J, minor C[I, J]); a p-minor
@@ -147,13 +143,13 @@ def _oracle_tables(sector):
     if sector._oracle is None:
         f = sector.fixed_dim
         actions = [sector.restricted_action[h] for h in sector.class_ref.centralizer]
-        dual = [_clear(mat_inv(A) if f else ()) for A in actions]
+        dual = [integer_form(mat_inv(A) if f else ()) for A in actions]
         sector._oracle = {
             "dual": dual,
             "sym": [[[{0: 1}] for _ in dual]],
             "forms": [(D, _ext_minors(B, f)) for D, B in dual],
             "polyvectors_twisted": [(E, _ext_minors(C, f)) for E, C in
-                                    (_clear(transpose(A)) for A in actions)],
+                                    (integer_form(transpose(A)) for A in actions)],
         }
     return sector._oracle
 

@@ -10,11 +10,13 @@ Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 two series below agree bidegree by bidegree.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exact import (QZERO, QONE, mat_det, mat_identity, mat_inv, mat_mul,
-                    mat_rank, mat_sub, nullspace_basis, rref)
+from .exact import (QZERO, QONE, InternalError, NotInvertible, int_mat_mul,
+                    integer_form, mat_det, mat_identity, mat_inv, mat_rank,
+                    mat_sub, nullspace_basis, rational_matrix, rref)
 
 
 def monomials(nvars, degree):
@@ -66,6 +68,17 @@ def build_sector(G, cls, complement=None):
     columns of the fixed basis unless an explicit column list is passed; the
     determinant character lives on the quotient V/V^g so the choice cannot
     matter (and a change-of-complement test holds it to that).
+
+    In the basis B = [F | e_c for c in the complement], F the fixed basis,
+    h acts by [[A_h, *], [0, Q_h]]; the blocks are formed directly.  With P
+    the coordinates off the complement, B is invertible exactly when F_P
+    (the rows P of F) is, and then A_h = F_P^-1 (h F)[P], Q_h =
+    h[comp][comp] - F[comp] F_P^-1 h[P][comp], and the lower-left block
+    vanishes exactly when (h F)[comp] = F[comp] A_h.  Per element this is
+    integer arithmetic: F = Phi / delta, F_P^-1 = delta Psi / eps and
+    h = N / d, with R = Phi[comp] Psi made once.  Raises ValueError for a
+    wrong number of complement columns and NotInvertible when they are no
+    complement.
     """
     g = cls.representative
     n = G.n
@@ -74,29 +87,33 @@ def build_sector(G, cls, complement=None):
     c = n - f
     if complement is None:
         pivots = rref(fixed)[1] if fixed else []
-        comp_cols = [j for j in range(n) if j not in set(pivots)]
+        comp = [j for j in range(n) if j not in set(pivots)]
     else:
-        comp_cols = list(complement)
-        if len(comp_cols) != c:
-            raise ValueError("complement needs %d columns, got %d" % (c, len(comp_cols)))
-    # basis change: columns are the fixed basis then the complement coordinates
-    B = tuple(tuple(fixed[k][i] if k < f else
-                    (QONE if i == comp_cols[k - f] else QZERO)
-                    for k in range(n)) for i in range(n))
-    Binv = mat_inv(B)  # NotInvertible here means the complement was not one
+        comp = list(complement)
+        if len(comp) != c:
+            raise ValueError("complement needs %d columns, got %d" % (c, len(comp)))
+    P = [j for j in range(n) if j not in comp]
+    if len(P) != f:
+        raise NotInvertible("complement columns repeat or lie outside 0..%d" % (n - 1))
+    _, Phi = integer_form(tuple(tuple(v[i] for v in fixed) for i in range(n)))
+    # mat_inv raises NotInvertible when comp is no complement
+    eps, Psi = integer_form(mat_inv([Phi[i] for i in P]))
+    R = int_mat_mul([Phi[i] for i in comp], Psi)
     restricted = {}
     charv = {}
     for h in cls.centralizer:
-        M = mat_mul(mat_mul(Binv, h), B)
-        for i in range(f, n):
-            for j in range(f):
-                if M[i][j]:
-                    raise RuntimeError(
-                        "centralizer element does not preserve the fixed subspace; "
-                        "this is a bug, not bad input")
-        restricted[h] = tuple(tuple(M[i][j] for j in range(f)) for i in range(f))
-        quot = tuple(tuple(M[i][j] for j in range(f, n)) for i in range(f, n))
-        charv[h] = mat_det(quot)
+        d, N = integer_form(h)
+        NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
+        X = [NPhi[i] for i in P]
+        if int_mat_mul(R, X) != tuple(tuple(eps * y for y in NPhi[i]) for i in comp):
+            raise InternalError(
+                "centralizer element does not preserve the fixed subspace; "
+                "this is a bug, not bad input")
+        restricted[h] = rational_matrix(eps * d, int_mat_mul(Psi, X))
+        # eps d Q_h, integral, so mat_det gives its determinant as an integer
+        Q = [[eps * N[i][j] - sum(R[a][k] * N[p][j] for k, p in enumerate(P))
+              for j in comp] for a, i in enumerate(comp)]
+        charv[h] = Fraction(mat_det(Q).numerator, (eps * d) ** c)
     return Sector(cls, n, tuple(fixed), c, charv, restricted)
 
 

@@ -2,10 +2,14 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbifold_hkr import cli
+from orbifold_hkr import cli, hkr
 from orbifold_hkr.cli import (NonSquareMatrix, SchemaError, main, parse_jobspec,
                               render_json, render_table, run)
+from orbifold_hkr.exact import mat_det, mat_inv, mat_mul
+
+from conftest import ZOO, m
 
 from fractions import Fraction
 
@@ -236,3 +240,48 @@ def test_main_determinism(tmp_path, capsys):
     assert main(["quotient", "--spec", str(spec)]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_main_internal_error_exit_5(tmp_path, capsys, monkeypatch):
+    # the integrality guard on the averaged series fires once every Molien
+    # factor is off by a factor 3
+    real = hkr.det_series_factor
+    monkeypatch.setattr(hkr, "det_series_factor",
+                        lambda *a, **k: real(*a, **k).scale(F(1, 3)))
+    spec = tmp_path / "job.json"
+    spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 3}')
+    assert main(["quotient", "--spec", str(spec)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: averaged series has a non-integral")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# change of basis -------------------------------------------------------------------
+
+@st.composite
+def _zoo_conjugate(draw):
+    gens = ZOO[draw(st.sampled_from(sorted(ZOO)))]
+    n = len(gens[0])
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    P = draw(st.lists(row, min_size=n, max_size=n).map(m).filter(mat_det))
+    return gens, P
+
+
+def _report_without_input(gens):
+    doc = {"command": "quotient", "t_max": 5, "oracle": True,
+           "generators": [[[str(x) for x in row] for row in g] for g in gens]}
+    report = run(parse_jobspec(json.dumps(doc)))
+    del report["input"]
+    return render_json(report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_zoo_conjugate())
+def test_report_is_invariant_under_change_of_basis(case):
+    # the closure visits the elements in the same order in any basis, so the
+    # classes, sectors and tables come out byte for byte the same
+    gens, P = case
+    Pinv = mat_inv(P)
+    conjugated = [mat_mul(mat_mul(P, g), Pinv) for g in gens]
+    assert _report_without_input(conjugated) == _report_without_input(gens)

@@ -12,6 +12,8 @@ from orbifold_hkr.exact import (BadRational, BiSeries, IntMatrix,
                                 mat_identity, mat_inv, mat_mul, mat_rank,
                                 nullspace_basis, parse_rational, rref,
                                 smith_normal_form)
+from orbifold_hkr.groups import conjugacy_classes
+from orbifold_hkr.sectors import build_sector
 
 from conftest import fraction_gauss_jordan, m
 
@@ -59,6 +61,41 @@ def test_reciprocal_identity_2x2():
 
 def test_elementary_symmetric_identity():
     assert elementary_symmetric(mat_identity(2)) == (F(1), F(2), F(1))
+
+
+def _fraction_elementary_symmetric(M):
+    # Faddeev-LeVerrier on Fractions, as elementary_symmetric ran it before it
+    # moved to the integer matrix d * M
+    n = len(M)
+    B = M = tuple(tuple(F(x) for x in row) for row in M)
+    coeffs = [F(1)]
+    for k in range(1, n + 1):
+        c = -sum((B[i][i] for i in range(n)), F(0)) / k
+        coeffs.append(c)
+        if k < n:
+            shifted = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                            for i, row in enumerate(B))
+            B = mat_mul(M, shifted)
+    return tuple(c if k % 2 == 0 else -c for k, c in enumerate(coeffs))
+
+
+def test_elementary_symmetric_matches_fraction_recursion(zoo_groups):
+    rng = random.Random(20261019)
+
+    def entry():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    # 0x0, a zero matrix, plain ints, then seeded rational matrices up to 6x6
+    cases = [(), m([[0] * 3] * 3), ((1, 2), (3, 4))]
+    cases += [[[entry() for _ in range(n)] for _ in range(n)]
+              for n in range(1, 7) for _ in range(30)]
+    for G in zoo_groups.values():
+        for cls in conjugacy_classes(G):
+            cases.extend(build_sector(G, cls).restricted_action.values())
+    for M in cases:
+        got = elementary_symmetric(M)
+        assert got == _fraction_elementary_symmetric(M)
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_reciprocal_times_polynomial_is_one(zoo_groups):

@@ -3,12 +3,12 @@ from math import factorial, lcm
 
 import pytest
 
-from orbifold_hkr.exact import NotInvertible, mat_inv, mat_mul
+from orbifold_hkr.exact import NotInvertible, mat_identity, mat_inv, mat_mul
 from orbifold_hkr.groups import (CapExceeded, OrderCapExceeded, conjugacy_classes,
                                  element_order, generate, matrix_key,
                                  max_finite_order, minkowski_bound)
 
-from conftest import B3, B3_BASIS, D4, ROT4, S3_PERM, SIGN_1D, m
+from conftest import B3, B3_BASIS, D4, ROT4, S3_PERM, SIGN_1D, ZOO, m
 
 F = Fraction
 
@@ -208,3 +208,67 @@ def test_index_classes_match_matrix_arithmetic(P):
         assert c.centralizer == tuple(h for h in G.elements
                                       if mat_mul(h, g) == mat_mul(g, h))
     assert G.exponent == lcm(*(element_order(g) for g in G.elements))
+
+
+def _swap(n, k):
+    # the permutation matrix of the transposition (k, k + 1)
+    perm = list(range(n))
+    perm[k], perm[k + 1] = perm[k + 1], perm[k]
+    return m([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+
+
+# S4 by adjacent transpositions, and the det -8 basis change that makes the
+# oracle slow on it
+S4_PERM = tuple(_swap(4, k) for k in range(3))
+DET_MINUS_8 = m([[2, 0, 0, 2], [-2, 1, -1, -2], [-1, -2, 0, 1], [-1, 1, 2, -2]])
+
+
+def _conjugate(gens, P):
+    Pinv = mat_inv(P)
+    return tuple(mat_mul(mat_mul(P, g), Pinv) for g in gens)
+
+
+def _fraction_closure(gens):
+    # the breadth-first closure on Fraction matrices, as generate ran it
+    # before it moved to integer pairs: (elements, right, parents)
+    n = len(gens[0])
+    elements = [mat_identity(n)]
+    index = {elements[0]: 0}
+    parents = [None]
+    right = [[] for _ in gens]
+    for i, w in enumerate(elements):
+        for k, g in enumerate(gens):
+            p = mat_mul(w, g)
+            if p not in index:
+                index[p] = len(elements)
+                elements.append(p)
+                parents.append((i, k))
+            right[k].append(index[p])
+    return elements, right, parents
+
+
+def _fraction_order(M):
+    P, k = M, 1
+    while P != mat_identity(len(M)):
+        P, k = mat_mul(P, M), k + 1
+    return k
+
+
+_CLOSURE_CASES = dict(ZOO, **{
+    "B3": B3,
+    "B3 conjugate": _conjugate(B3, B3_BASIS),
+    "S4 det -8 conjugate": _conjugate(S4_PERM, DET_MINUS_8),
+})
+
+
+@pytest.mark.parametrize("name", list(_CLOSURE_CASES))
+def test_closure_matches_fraction_closure(name):
+    gens = _CLOSURE_CASES[name]
+    G = generate(gens)
+    elements, right, parents = _fraction_closure(gens)
+    assert G.elements == tuple(elements)
+    assert G.right == right
+    assert G.parents == parents
+    assert all(type(x) is Fraction for g in G.elements for row in g for x in row)
+    assert [element_order(g) for g in G.elements] == [_fraction_order(g)
+                                                      for g in G.elements]

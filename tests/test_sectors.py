@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from orbifold_hkr.exact import (NotInvertible, mat_identity, mat_mul, mat_rank,
-                                mat_sub, mat_vec)
+from orbifold_hkr import sectors
+from orbifold_hkr.exact import (InternalError, NotInvertible, mat_det,
+                                mat_identity, mat_inv, mat_mul, mat_rank,
+                                mat_sub, mat_vec, nullspace_basis, rref)
 from orbifold_hkr.groups import conjugacy_classes, generate, matrix_key
 from orbifold_hkr.sectors import (build_sector, derived_fixed_hilbert, monomials,
                                   shifted_tangent_hilbert)
 
-from conftest import ROT4, S3_PERM, SIGN_1D, m
+from conftest import B3, B3_BASIS, ROT4, S3_PERM, SIGN_1D, m
 
 F = Fraction
 
@@ -104,6 +107,66 @@ def test_bad_complement_is_rejected():
             with pytest.raises(ValueError):
                 build_sector(G, cls, complement=[0, 1])
             return
+
+
+def _conjugation_blocks(G, cls, comp):
+    # the blocks of B^-1 h B, B = [fixed basis | e_c for c in comp], by
+    # Fraction products, as build_sector formed them before it used the
+    # block formulas; None when B is singular, i.e. comp is no complement
+    n = G.n
+    fixed = nullspace_basis(mat_sub(cls.representative, mat_identity(n)))
+    f = len(fixed)
+    B = tuple(tuple(fixed[k][i] if k < f else F(int(i == comp[k - f]))
+                    for k in range(n)) for i in range(n))
+    try:
+        Binv = mat_inv(B)
+    except NotInvertible:
+        return None
+    restricted, charv = {}, {}
+    for h in cls.centralizer:
+        M = mat_mul(mat_mul(Binv, h), B)
+        assert not any(M[i][j] for i in range(f, n) for j in range(f))
+        restricted[h] = tuple(tuple(M[i][j] for j in range(f)) for i in range(f))
+        charv[h] = mat_det(tuple(tuple(M[i][j] for j in range(f, n))
+                                 for i in range(f, n)))
+    return restricted, charv
+
+
+def test_block_formulas_match_conjugation_by_b(zoo_groups):
+    b3_conjugate = tuple(mat_mul(mat_mul(B3_BASIS, g), mat_inv(B3_BASIS)) for g in B3)
+    for G in list(zoo_groups.values()) + [generate(b3_conjugate)]:
+        for cls in conjugacy_classes(G):
+            sec = build_sector(G, cls)
+            # the default complement: the coordinates off the pivots of the fixed basis
+            pivots = rref(sec.fixed_basis)[1] if sec.fixed_basis else []
+            default = [j for j in range(G.n) if j not in pivots]
+            assert (sec.restricted_action, sec.det_normal_char) == \
+                _conjugation_blocks(G, cls, default)
+            # hkr reads both dicts side by side, in centralizer order
+            assert list(sec.restricted_action) == list(cls.centralizer)
+            assert list(sec.det_normal_char) == list(cls.centralizer)
+            for comp in combinations(range(G.n), sec.c_g):
+                want = _conjugation_blocks(G, cls, comp)
+                if want is None:
+                    with pytest.raises(NotInvertible):
+                        build_sector(G, cls, complement=comp)
+                    continue
+                other = build_sector(G, cls, complement=comp)
+                assert (other.restricted_action, other.det_normal_char) == want
+                # and the sector does not depend on the choice
+                assert other.restricted_action == sec.restricted_action
+                assert other.det_normal_char == sec.det_normal_char
+
+
+def test_fixed_subspace_guard_is_an_internal_error(monkeypatch):
+    G = generate(S3_PERM, 100)
+    swap = m([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    cls = next(c for c in conjugacy_classes(G) if swap in c.members)
+    # span(e_1, e_3) is not fixed by the swap, which moves e_1 to e_2
+    monkeypatch.setattr(sectors, "nullspace_basis",
+                        lambda A: [m([[1, 0, 0]])[0], m([[0, 0, 1]])[0]])
+    with pytest.raises(InternalError, match="does not preserve the fixed subspace"):
+        build_sector(G, cls)
 
 
 # Koszul homology of (g - I) ---------------------------------------------------
