@@ -221,6 +221,8 @@ def _quotient_report(job):
 
 
 def _wps_report(job):
+    if sum(job.weights) > job.cap:  # it bounds the number of components
+        raise CapExceeded("weights sum to %d, over cap %d" % (sum(job.weights), job.cap))
     stack = WeightedStack(job.weights)
     comps = []
     for comp in inertia_components(stack):
@@ -241,6 +243,8 @@ def _wps_report(job):
 
 
 def _gamma_report(job):
+    if job.r > job.cap:  # the cover model has r 2-cells
+        raise CapExceeded("r = %d is over cap %d" % (job.r, job.cap))
     g = gamma_homology(job.r)
     c = cover_homology(job.r)
     return {

@@ -57,10 +57,6 @@ def parse_rational(text):
 # dense linear algebra over Q -----------------------------------------------
 # Entries are Fractions; plain ints are lifted to Fraction on entry.
 
-def _lift(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
 def mat_identity(n):
     return tuple(tuple(QONE if i == j else QZERO for j in range(n)) for i in range(n))
 
@@ -74,7 +70,7 @@ def mat_mul(A, B):
 
 
 def mat_sub(A, B):
-    return tuple(tuple(_lift(a) - _lift(b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+    return tuple(tuple(Fraction(a - b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def transpose(A):
@@ -287,7 +283,8 @@ class BiSeries:
     __slots__ = ("u_max", "t_max", "rows")
 
     def __init__(self, u_max, t_max, rows):
-        rs = tuple(tuple(_lift(x) for x in row) for row in rows)
+        rs = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                   for row in rows)
         if len(rs) != u_max + 1 or any(len(r) != t_max + 1 for r in rs):
             raise ValueError("rows must form a (u_max+1) x (t_max+1) rectangle")
         self.u_max = u_max
@@ -326,12 +323,14 @@ class BiSeries:
             raise ValueError("t truncations differ")
         u = max(self.u_max, other.u_max)
         a, b = self.pad_u(u), other.pad_u(u)
+        # a zero summand costs no Fraction addition
         return BiSeries(u, self.t_max,
-                        [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+                        [[x + y if x and y else x or y for x, y in zip(ra, rb)]
+                         for ra, rb in zip(a.rows, b.rows)])
 
     def scale(self, c):
         return BiSeries(self.u_max, self.t_max,
-                        [[x * c for x in row] for row in self.rows])
+                        [[x * c if x else x for x in row] for row in self.rows])
 
     def __mul__(self, other):
         if self.t_max != other.t_max:
@@ -343,10 +342,12 @@ class BiSeries:
                 if not c1:
                     continue
                 for p2, r2 in enumerate(other.rows):
+                    row = out[p1 + p2]
                     for d2 in range(0, self.t_max + 1 - d1):
                         c2 = r2[d2]
                         if c2:
-                            out[p1 + p2][d1 + d2] += c1 * c2
+                            x = row[d1 + d2]
+                            row[d1 + d2] = x + c1 * c2 if x else c1 * c2
         return BiSeries(u, self.t_max, out)
 
     def __eq__(self, other):
@@ -362,16 +363,16 @@ class BiSeries:
 
 
 def _invert_series(a, t_max):
-    # 1 / (a[0] + a[1] t + ...) truncated; a[0] must be a unit
-    b = [QZERO] * (t_max + 1)
-    b[0] = QONE / a[0]
-    for d in range(1, t_max + 1):
-        s = QZERO
-        for k in range(1, min(d, len(a) - 1) + 1):
-            if a[k]:
-                s = s + a[k] * b[d - k]
-        b[d] = -(b[0] * s)
-    return b
+    # 1 / (1 + a[1] t + ... + a[n] t^n) truncated at t_max, in O(n t_max)
+    # integer steps: with d the lcm of the denominators, A_k = a[k] d^k is
+    # integral, and the inverse is sum B_m (t / d)^m with B_0 = 1 and
+    # B_m = -(A_1 B_(m-1) + ... + A_n B_(m-n))
+    d = lcm(*[x.denominator for x in a])
+    A = [x.numerator * d ** k // x.denominator for k, x in enumerate(a)]
+    B = [1]
+    for m in range(1, t_max + 1):
+        B.append(-sum(A[k] * B[m - k] for k in range(1, min(m, len(A) - 1) + 1)))
+    return [Fraction(b, d ** m) for m, b in enumerate(B)]
 
 
 def det_series_factor(M, t_max, sign="plus", marker="ut", reciprocal=False):
@@ -390,8 +391,8 @@ def det_series_factor(M, t_max, sign="plus", marker="ut", reciprocal=False):
     if reciprocal:
         if sign != "minus" or marker != "t":
             raise ValueError("reciprocal mode expands 1/det(I - t*M)")
-        denom = [(e[k] if k % 2 == 0 else -e[k]) if k <= n else QZERO
-                 for k in range(t_max + 1)]
+        # the n + 1 coefficients of det(I - tM)
+        denom = [e[k] if k % 2 == 0 else -e[k] for k in range(n + 1)]
         return BiSeries(0, t_max, [_invert_series(denom, t_max)])
     s = QONE if sign == "plus" else -QONE
     if marker == "t":

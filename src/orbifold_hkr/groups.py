@@ -1,19 +1,16 @@
 """Finite matrix groups over Q.
 
-The breadth-first closure is the only place that multiplies group elements.
-It multiplies integer matrices over one denominator: each element is the
-pair (d, N) of exact.integer_form, and the Fraction matrices are made once,
-at the end.  It keeps index permutation tables and each element's BFS
-parent, from which conjugacy classes, centralizers and the exponent are
-computed on integers.
+An element is its index in closure order, and the matrix behind index i is
+the integer pair elements[i] = (d, N) of exact.integer_form, M = N / d.
+The breadth-first closure is the only place that multiplies those pairs; it
+keeps index permutation tables and each element's BFS parent, from which
+conjugacy classes, centralizers and the exponent are computed on indices.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import (int_mat_mul, integer_form, mat_identity, mat_inv,
-                    rational_matrix)
+from .exact import int_mat_mul, integer_form, mat_identity, mat_inv
 
 DEFAULT_CAP = 100000
 
@@ -24,11 +21,6 @@ class CapExceeded(RuntimeError):
 
 class OrderCapExceeded(RuntimeError):
     """A generator's order passed the cap or is provably infinite, e.g. a shear."""
-
-
-def matrix_key(M):
-    # tuple-of-tuples of Fractions, hashable and exact
-    return tuple(tuple(Fraction(x) for x in row) for row in M)
 
 
 def _check_square(mats):
@@ -113,6 +105,7 @@ def element_order(M, cap=DEFAULT_CAP):
 class MatrixGroup:
     """A finite subgroup of GL_n(Q), fully enumerated in closure order.
 
+    elements[i] is the (d, N) pair of the i-th element, the matrix N / d;
     elements[0] is the identity; the rest follow breadth-first with the
     generators applied in their given order, so enumeration order (and with it
     every class representative downstream) is reproducible.  right[k][i] is
@@ -153,20 +146,20 @@ def generate(generators, cap=DEFAULT_CAP):
     """Enumerate the group generated by exact rational matrices.
 
     Breadth-first closure under right multiplication by the generators, on
-    the integer (d, N) pairs of exact.integer_form, which also key the index;
-    inverses come for free once the closure is finite.  Raises NotInvertible
-    on a singular generator, OrderCapExceeded on an infinite-order generator,
-    CapExceeded when the closure itself grows past the cap, or past
-    minkowski_bound(n), where the group is known to be infinite.
+    the integer (d, N) pairs of exact.integer_form, which key the index and
+    are kept as the elements; inverses come for free once the closure is
+    finite.  Raises NotInvertible on a singular generator, OrderCapExceeded
+    on an infinite-order generator, CapExceeded when the closure itself grows
+    past the cap, or past minkowski_bound(n), where the group is known to be
+    infinite.
     """
-    gens = [matrix_key(M) for M in generators]
-    n = _check_square(gens)
+    n = _check_square(generators)
     bound = minkowski_bound(n)
-    for g in gens:
+    for g in generators:
         mat_inv(g)  # raises NotInvertible on singular input
         element_order(g, cap)
-    gens = [integer_form(g) for g in gens]
-    elements = [integer_form(mat_identity(n))]  # (d, N) pairs until the end
+    gens = [integer_form(g) for g in generators]
+    elements = [integer_form(mat_identity(n))]
     index = {elements[0]: 0}
     parents = [None]
     right = [[] for _ in gens]
@@ -184,21 +177,22 @@ def generate(generators, cap=DEFAULT_CAP):
                 if len(elements) > cap:
                     raise CapExceeded("group order exceeds cap %d" % cap)
             right[k].append(index[p])
-    return MatrixGroup(n, [rational_matrix(d, N) for d, N in elements], right,
-                       parents)
+    return MatrixGroup(n, elements, right, parents)
 
 
-# one conjugacy class: earliest-enumerated representative, members, centralizer
+# one conjugacy class as element indices: the representative (its first
+# member), the sorted members and the sorted centralizer
 ConjClass = namedtuple("ConjClass", ["representative", "members", "centralizer"])
 
 
 def conjugacy_classes(G):
     """Partition of G into conjugacy classes, ordered by representative index.
 
-    Works on element indices.  A class is the orbit of its representative
-    (its first member) under x -> s^-1 x s for the generators s, read off s's
-    right-multiplication table; the centralizer is every h with h g = g h as
-    index products.  Both keep enumeration order; |class| * |centralizer| = |G|.
+    Works on element indices and returns them.  A class is the orbit of its
+    representative (its first member) under x -> s^-1 x s for the generators
+    s, read off s's right-multiplication table; the centralizer is every h
+    with h g = g h as index products.  Both are sorted by index;
+    |class| * |centralizer| = |G|.
     """
     N = G.order
     # table[x] is x s, and table.index(0) is s^-1
@@ -215,8 +209,6 @@ def conjugacy_classes(G):
                 if not assigned[conj[x]]:
                     assigned[conj[x]] = True
                     orbit.append(conj[x])
-        members = tuple(G.elements[x] for x in sorted(orbit))
-        centralizer = tuple(G.elements[h] for h in range(N)
-                            if G.mul(h, g) == G.mul(g, h))
-        classes.append(ConjClass(G.elements[g], members, centralizer))
+        centralizer = tuple(h for h in range(N) if G.mul(h, g) == G.mul(g, h))
+        classes.append(ConjClass(g, tuple(sorted(orbit)), centralizer))
     return classes

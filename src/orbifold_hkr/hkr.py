@@ -77,19 +77,17 @@ def _molien_average(sector, t_max, u_max, twisted, numerator):
     # average of numerator(A) / det(I - t A) over the centralizer, A the
     # action on V^g, times the det-of-normal character when twisted; a term
     # depends only on the characteristic polynomial of A and that character,
-    # so it is summed once per distinct key, weighted by the key's count;
-    # both dicts list the centralizer in the same order, so they are read
-    # side by side without hashing a matrix key
+    # so it is summed once per distinct key, weighted by the key's count
     Z = sector.class_ref.centralizer
-    chars = sector.det_normal_char.values() if twisted else [QONE] * len(Z)
+    chars = sector.det_normal_char if twisted else [QONE] * len(Z)
     groups = {}
-    for A, char in zip(sector.restricted_action.values(), chars):
+    for A, char in zip(sector.restricted_action, chars):
         groups.setdefault((elementary_symmetric(A), char), [A, 0])[1] += 1
     total = BiSeries.zero(u_max, t_max)
     for (_, char), (A, count) in groups.items():
         den = det_series_factor(A, t_max, sign="minus", marker="t",
                                 reciprocal=True)
-        total = total + (numerator(A) * den).scale(char * Fraction(count, len(Z)))
+        total = total + numerator(A).scale(char * Fraction(count, len(Z))) * den
     return _check_integral(total)
 
 
@@ -142,7 +140,7 @@ def _oracle_tables(sector):
     # of C_h E_h), C_h = B_h for forms and A_h^T for polyvectors
     if sector._oracle is None:
         f = sector.fixed_dim
-        actions = [sector.restricted_action[h] for h in sector.class_ref.centralizer]
+        actions = sector.restricted_action
         dual = [integer_form(mat_inv(A) if f else ()) for A in actions]
         sector._oracle = {
             "dual": dual,
@@ -216,8 +214,8 @@ def brute_force_invariants(sector, p, d, mode):
                             % (dim, ORACLE_GUARD))
     tables = _oracle_tables(sector)
     ext = tables[mode]
-    chars = [sector.det_normal_char[h] if mode == "polyvectors_twisted" else QONE
-             for h in sector.class_ref.centralizer]
+    chars = (sector.det_normal_char if mode == "polyvectors_twisted"
+             else [QONE] * len(sector.class_ref.centralizer))
     # the matrix of h is (integer matrix) / (den(chi_h) D_h^deg E_h^p)
     dens = [chi.denominator * D ** deg * E ** p
             for chi, (D, _), (E, _) in zip(chars, tables["dual"], ext)]

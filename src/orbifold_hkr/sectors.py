@@ -1,9 +1,10 @@
 """Per-sector geometry of a linear action on affine space.
 
-For each conjugacy class [g]: the fixed subspace V^g = ker(g - I), the
-determinant character of the centralizer on the normal directions, the
-restricted centralizer action on V^g, and two bigraded Hilbert series that
-realize the derived fixed locus (Koszul side) and its shifted-tangent model.
+For each conjugacy class [g], given as element indices of the group: the
+fixed subspace V^g = ker(g - I), the determinant character of the centralizer
+on the normal directions and the restricted centralizer action on V^g, both
+as tuples in centralizer order, and two bigraded Hilbert series that realize
+the derived fixed locus (Koszul side) and its shifted-tangent model.
 
 Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 (equivalently the Koszul exterior generators); that choice is what makes the
@@ -62,12 +63,13 @@ class Sector:
 
 
 def build_sector(G, cls, complement=None):
-    """Assemble the Sector of a conjugacy class.
+    """Assemble the Sector of a conjugacy class of element indices.
 
-    The normal complement is chosen from coordinate vectors off the pivot
-    columns of the fixed basis unless an explicit column list is passed; the
-    determinant character lives on the quotient V/V^g so the choice cannot
-    matter (and a change-of-complement test holds it to that).
+    V^g is the nullspace of N - d I, (d, N) = G.elements[g] for the
+    representative g.  The normal complement is chosen from coordinate
+    vectors off the pivot columns of the fixed basis unless an explicit column
+    list is passed; the determinant character lives on the quotient V/V^g so
+    the choice cannot matter (and a change-of-complement test holds it to that).
 
     In the basis B = [F | e_c for c in the complement], F the fixed basis,
     h acts by [[A_h, *], [0, Q_h]]; the blocks are formed directly.  With P
@@ -75,14 +77,15 @@ def build_sector(G, cls, complement=None):
     (the rows P of F) is, and then A_h = F_P^-1 (h F)[P], Q_h =
     h[comp][comp] - F[comp] F_P^-1 h[P][comp], and the lower-left block
     vanishes exactly when (h F)[comp] = F[comp] A_h.  Per element this is
-    integer arithmetic: F = Phi / delta, F_P^-1 = delta Psi / eps and
-    h = N / d, with R = Phi[comp] Psi made once.  Raises ValueError for a
-    wrong number of complement columns and NotInvertible when they are no
-    complement.
+    integer arithmetic on h = N / d = G.elements[h]: F = Phi / delta,
+    F_P^-1 = delta Psi / eps, with R = Phi[comp] Psi made once.  Raises
+    ValueError for a wrong number of complement columns and NotInvertible
+    when they are no complement.
     """
-    g = cls.representative
+    d, N = G.elements[cls.representative]
     n = G.n
-    fixed = nullspace_basis(mat_sub(g, mat_identity(n)))
+    fixed = nullspace_basis([[x - d if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(N)])
     f = len(fixed)
     c = n - f
     if complement is None:
@@ -99,22 +102,21 @@ def build_sector(G, cls, complement=None):
     # mat_inv raises NotInvertible when comp is no complement
     eps, Psi = integer_form(mat_inv([Phi[i] for i in P]))
     R = int_mat_mul([Phi[i] for i in comp], Psi)
-    restricted = {}
-    charv = {}
+    restricted, charv = [], []
     for h in cls.centralizer:
-        d, N = integer_form(h)
+        d, N = G.elements[h]
         NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
         X = [NPhi[i] for i in P]
         if int_mat_mul(R, X) != tuple(tuple(eps * y for y in NPhi[i]) for i in comp):
             raise InternalError(
                 "centralizer element does not preserve the fixed subspace; "
                 "this is a bug, not bad input")
-        restricted[h] = rational_matrix(eps * d, int_mat_mul(Psi, X))
+        restricted.append(rational_matrix(eps * d, int_mat_mul(Psi, X)))
         # eps d Q_h, integral, so mat_det gives its determinant as an integer
         Q = [[eps * N[i][j] - sum(R[a][k] * N[p][j] for k, p in enumerate(P))
               for j in comp] for a, i in enumerate(comp)]
-        charv[h] = Fraction(mat_det(Q).numerator, (eps * d) ** c)
-    return Sector(cls, n, tuple(fixed), c, charv, restricted)
+        charv.append(Fraction(mat_det(Q).numerator, (eps * d) ** c))
+    return Sector(cls, n, tuple(fixed), c, tuple(charv), tuple(restricted))
 
 
 class KoszulReport:

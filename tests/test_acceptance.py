@@ -19,6 +19,7 @@ from pathlib import Path
 from orbifold_hkr.circle import (central_complex, cover_homology,
                                  fiber_dimension, gamma_homology,
                                  generic_fiber_homology)
+from orbifold_hkr.exact import rational_matrix
 from orbifold_hkr.groups import conjugacy_classes
 from orbifold_hkr.hkr import (brute_force_invariants, sector_hh_series,
                               sector_hhcoh_series)
@@ -91,7 +92,7 @@ def test_05_derived_fixed_equals_shifted_tangent(sweep_groups):
             sec = build_sector(G, cls)
             want = shifted_tangent_hilbert(sec, 6)
             for g in cls.members:
-                assert derived_fixed_hilbert(g, 6) == want
+                assert derived_fixed_hilbert(rational_matrix(*G.elements[g]), 6) == want
 
 
 def test_06_s3_invariant_ring_dimensions(sweep_groups):

@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from orbifold_hkr.cli import (NonSquareMatrix, SchemaError, main, parse_jobspec,
                               render_json, render_table, run)
 from orbifold_hkr.exact import mat_det, mat_inv, mat_mul
 
-from conftest import ZOO, m
+from conftest import B3, ZOO, m
 
 from fractions import Fraction
 
@@ -206,6 +207,39 @@ def test_main_infinite_dihedral_exit_3(tmp_path, capsys):
     assert "infinite" in capsys.readouterr().err
 
 
+def _exit_and_err(tmp_path, capsys, doc):
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main([doc["command"], "--spec", str(spec)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_wps_weights_over_cap_exit_3(tmp_path, capsys):
+    # the sum of the weights bounds the number of inertia components; three
+    # primes near 10^6 used to run out of memory after about 40 s
+    doc = {"command": "wps", "weights": [1000003, 1000033, 1000037]}
+    code, out, err = _exit_and_err(tmp_path, capsys, doc)
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: weights sum to 3000073, over cap 100000\n"
+    # the bound is inclusive
+    assert _exit_and_err(tmp_path, capsys, dict(doc, weights=[2, 3], cap=5))[0] == 0
+    assert _exit_and_err(tmp_path, capsys, dict(doc, weights=[2, 3], cap=4))[0] == 3
+
+
+def test_main_gamma_r_over_cap_exit_3(tmp_path, capsys):
+    # the cover model has r 2-cells; r = 10^8 used to run out of memory
+    for r in (10 ** 7, 10 ** 8):
+        code, out, err = _exit_and_err(tmp_path, capsys, {"command": "gamma", "r": r})
+        assert code == 3 and out == ""
+        assert err == "cap exceeded: r = %d is over cap 100000\n" % r
+    doc = {"command": "gamma", "r": 12, "cap": 12}
+    assert _exit_and_err(tmp_path, capsys, doc)[0] == 0
+    assert _exit_and_err(tmp_path, capsys, dict(doc, cap=11))[0] == 3
+
+
 def test_main_flag_overrides(tmp_path, capsys):
     spec = tmp_path / "job.json"
     spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 9}')
@@ -285,3 +319,34 @@ def test_report_is_invariant_under_change_of_basis(case):
     Pinv = mat_inv(P)
     conjugated = [mat_mul(mat_mul(P, g), Pinv) for g in gens]
     assert _report_without_input(conjugated) == _report_without_input(gens)
+
+
+# generator order -------------------------------------------------------------------
+
+_ORDER_CASES = dict(ZOO, B3=B3)
+
+
+def test_report_is_invariant_under_duplicating_a_generator():
+    # a copy of generator k placed anywhere after it adds no new product to
+    # the closure, so every element keeps its index and the bytes stay the same
+    for gens in _ORDER_CASES.values():
+        want = _report_without_input(gens)
+        for k in range(len(gens)):
+            for j in range(k + 1, len(gens) + 1):
+                assert _report_without_input(gens[:j] + (gens[k],) + gens[j:]) == want
+
+
+def _order_invariants(gens):
+    report = json.loads(_report_without_input(gens))
+    sectors = sorted(json.dumps(s, sort_keys=True) for s in report.pop("sectors"))
+    return report, sectors
+
+
+def test_report_is_invariant_under_permuting_the_generators():
+    # the closure order, and with it the order of the sectors, may change
+    # (it does for S3, D4 and B3), so the sectors are compared as a multiset;
+    # group order, exponent, oracle verdict and total tables must be equal
+    for gens in _ORDER_CASES.values():
+        want = _order_invariants(gens)
+        for perm in permutations(range(len(gens))):
+            assert _order_invariants(tuple(gens[i] for i in perm)) == want

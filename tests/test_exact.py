@@ -10,8 +10,8 @@ from orbifold_hkr.exact import (BadRational, BiSeries, IntMatrix,
                                 NotInvertible, QONE, det_series_factor,
                                 elementary_symmetric, linear_solve, mat_det,
                                 mat_identity, mat_inv, mat_mul, mat_rank,
-                                nullspace_basis, parse_rational, rref,
-                                smith_normal_form)
+                                nullspace_basis, parse_rational,
+                                rational_matrix, rref, smith_normal_form)
 from orbifold_hkr.groups import conjugacy_classes
 from orbifold_hkr.sectors import build_sector
 
@@ -91,17 +91,51 @@ def test_elementary_symmetric_matches_fraction_recursion(zoo_groups):
               for n in range(1, 7) for _ in range(30)]
     for G in zoo_groups.values():
         for cls in conjugacy_classes(G):
-            cases.extend(build_sector(G, cls).restricted_action.values())
+            cases.extend(build_sector(G, cls).restricted_action)
     for M in cases:
         got = elementary_symmetric(M)
         assert got == _fraction_elementary_symmetric(M)
         assert all(type(x) is Fraction for x in got)
 
 
+def _padded_reciprocal(M, t_max):
+    # 1 / det(I - tM) as det_series_factor expanded it before: the n + 1
+    # coefficients padded with zeros up to t_max, inverted by the Fraction
+    # recursion over all of them
+    n = len(M)
+    e = elementary_symmetric(M)
+    a = [(e[k] if k % 2 == 0 else -e[k]) if k <= n else F(0) for k in range(t_max + 1)]
+    b = [F(0)] * (t_max + 1)
+    b[0] = 1 / a[0]
+    for d in range(1, t_max + 1):
+        s = F(0)
+        for k in range(1, min(d, len(a) - 1) + 1):
+            if a[k]:
+                s = s + a[k] * b[d - k]
+        b[d] = -(b[0] * s)
+    return tuple(b)
+
+
+def test_reciprocal_matches_padded_recursion(zoo_groups):
+    rng = random.Random(20261020)
+    # every zoo element, some with non-integer entries, and seeded rational
+    # matrices whose coefficients have unrelated denominators
+    cases = [rational_matrix(*e) for G in zoo_groups.values() for e in G.elements]
+    cases += [(), m([[0] * 3] * 3)]
+    cases += [[[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+               for _ in range(n)] for n in range(1, 5) for _ in range(3)]
+    for M in cases:
+        got = det_series_factor(M, 300, sign="minus", marker="t", reciprocal=True)
+        assert got.row(0) == _padded_reciprocal(M, 300)
+    # the long one: order 2 at t_max 2000
+    got = det_series_factor(m([[-1]]), 2000, sign="minus", marker="t", reciprocal=True)
+    assert got.row(0) == _padded_reciprocal(m([[-1]]), 2000)
+
+
 def test_reciprocal_times_polynomial_is_one(zoo_groups):
     # det(I - tM)^{-1} * det(I - tM) == 1 for finite-order M
     for G in zoo_groups.values():
-        for g in list(G.elements)[:6]:
+        for g in [rational_matrix(*e) for e in G.elements[:6]]:
             rec = det_series_factor(g, 6, sign="minus", marker="t",
                                     reciprocal=True)
             poly = det_series_factor(g, 6, sign="minus", marker="t")
@@ -168,7 +202,7 @@ def test_mat_inv_singular_raises():
 def test_mat_inv_times_element_is_identity(zoo_groups):
     for G in zoo_groups.values():
         ident = mat_identity(G.n)
-        for g in G.elements:
+        for g in [rational_matrix(*e) for e in G.elements]:
             assert mat_mul(mat_inv(g), g) == ident
 
 

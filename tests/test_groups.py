@@ -3,21 +3,27 @@ from math import factorial, lcm
 
 import pytest
 
-from orbifold_hkr.exact import NotInvertible, mat_identity, mat_inv, mat_mul
+from orbifold_hkr.exact import (NotInvertible, integer_form, mat_identity,
+                                mat_inv, mat_mul, rational_matrix)
 from orbifold_hkr.groups import (CapExceeded, OrderCapExceeded, conjugacy_classes,
-                                 element_order, generate, matrix_key,
-                                 max_finite_order, minkowski_bound)
+                                 element_order, generate, max_finite_order,
+                                 minkowski_bound)
 
 from conftest import B3, B3_BASIS, D4, ROT4, S3_PERM, SIGN_1D, ZOO, m
 
 F = Fraction
 
 
+def _matrices(G):
+    # the Fraction matrix of each element, in index order
+    return [rational_matrix(*e) for e in G.elements]
+
+
 def test_generate_sign_group():
     G = generate(SIGN_1D, 100)
     assert G.order == 2
     assert G.exponent == 2
-    elements = set(G.elements)
+    elements = set(_matrices(G))
     assert m([[1]]) in elements
     assert m([[-1]]) in elements
 
@@ -105,7 +111,7 @@ def test_zoo_orders_divide_minkowski(zoo_groups):
 
 def test_identity_first_in_enumeration():
     G = generate(ROT4, 100)
-    assert G.elements[0] == matrix_key(m([[1, 0], [0, 1]]))
+    assert rational_matrix(*G.elements[0]) == m([[1, 0], [0, 1]])
 
 
 def test_classes_of_sign_group():
@@ -124,7 +130,7 @@ def test_classes_of_s3():
     assert sizes == [1, 2, 3]
     assert cents == [2, 3, 6]
     # identity class comes first in enumeration order
-    assert classes[0].representative == G.elements[0]
+    assert classes[0].representative == 0
 
 
 def test_classes_of_cyclic4_all_singletons():
@@ -153,26 +159,30 @@ def test_class_equation_and_orbit_stabilizer(zoo_groups):
         for c in classes:
             assert len(c.members) * len(c.centralizer) == G.order
             assert c.representative in c.members
-            assert G.elements[0] in c.centralizer
+            assert c.members[0] == c.representative
+            assert list(c.members) == sorted(c.members)
+            assert list(c.centralizer) == sorted(c.centralizer)
+            assert 0 in c.centralizer
 
 
 def test_conjugation_stays_in_class(zoo_groups):
     for G in zoo_groups.values():
         classes = conjugacy_classes(G)
+        mats = _matrices(G)
         where = {}
         for i, c in enumerate(classes):
             for g in c.members:
-                where[g] = i
-        for h in G.elements:
+                where[mats[g]] = i
+        for h in mats:
             for c in classes:
-                g = c.representative
-                conj = matrix_key(mat_mul(mat_mul(h, g), mat_inv(h)))
+                g = mats[c.representative]
+                conj = mat_mul(mat_mul(h, g), mat_inv(h))
                 assert where[conj] == where[g]
 
 
 def test_orders_divide_exponent_and_group_order(zoo_groups):
     for G in zoo_groups.values():
-        orders = [element_order(g, 10000) for g in G.elements]
+        orders = [element_order(g, 10000) for g in _matrices(G)]
         assert lcm(*orders) == G.exponent
         for o in orders:
             assert G.exponent % o == 0
@@ -182,12 +192,12 @@ def test_orders_divide_exponent_and_group_order(zoo_groups):
 
 def test_closure_under_product_and_inverse(zoo_groups):
     for G in zoo_groups.values():
-        elements = set(G.elements)
-        sample = list(G.elements)[:8]
+        elements = set(_matrices(G))
+        sample = _matrices(G)[:8]
         for a in sample:
             assert mat_inv(a) in elements
             for b in sample:
-                assert matrix_key(mat_mul(a, b)) in elements
+                assert mat_mul(a, b) in elements
 
 
 @pytest.mark.parametrize("P", [None, B3_BASIS], ids=["coxeter", "conjugate"])
@@ -197,17 +207,18 @@ def test_index_classes_match_matrix_arithmetic(P):
         gens = tuple(mat_mul(mat_mul(P, g), mat_inv(P)) for g in gens)
     G = generate(gens, 1000)
     assert G.order == 48
-    inverses = [mat_inv(h) for h in G.elements]
+    mats = _matrices(G)
+    inverses = [mat_inv(h) for h in mats]
     classes = conjugacy_classes(G)
     assert len(classes) == 10
     for c in classes:
-        g = c.representative
-        orbit = {mat_mul(mat_mul(h, g), hi) for h, hi in zip(G.elements, inverses)}
-        assert c.members == tuple(x for x in G.elements if x in orbit)
-        assert c.members[0] == g
-        assert c.centralizer == tuple(h for h in G.elements
+        g = mats[c.representative]
+        orbit = {mat_mul(mat_mul(h, g), hi) for h, hi in zip(mats, inverses)}
+        assert c.members == tuple(i for i, x in enumerate(mats) if x in orbit)
+        assert c.members[0] == c.representative
+        assert c.centralizer == tuple(i for i, h in enumerate(mats)
                                       if mat_mul(h, g) == mat_mul(g, h))
-    assert G.exponent == lcm(*(element_order(g) for g in G.elements))
+    assert G.exponent == lcm(*(element_order(g) for g in mats))
 
 
 def _swap(n, k):
@@ -266,9 +277,12 @@ def test_closure_matches_fraction_closure(name):
     gens = _CLOSURE_CASES[name]
     G = generate(gens)
     elements, right, parents = _fraction_closure(gens)
-    assert G.elements == tuple(elements)
+    # each element is the unique integer pair (d, N) of its matrix
+    assert G.elements == tuple(integer_form(M) for M in elements)
+    assert _matrices(G) == elements
     assert G.right == right
     assert G.parents == parents
-    assert all(type(x) is Fraction for g in G.elements for row in g for x in row)
-    assert [element_order(g) for g in G.elements] == [_fraction_order(g)
-                                                      for g in G.elements]
+    assert all(type(d) is int and type(x) is int
+               for d, N in G.elements for row in N for x in row)
+    assert [element_order(g) for g in elements] == [_fraction_order(g)
+                                                    for g in elements]

@@ -192,9 +192,10 @@ def test_oracle_verdict_smoke():
 def _per_element_hh(sec, t_max):
     # one term per centralizer element, with the dual action D = A^-1
     Z = sec.class_ref.centralizer
+    assert len(sec.restricted_action) == len(Z)
     total = BiSeries.zero(sec.fixed_dim, t_max)
-    for h in Z:
-        D = mat_inv(sec.restricted_action[h]) if sec.fixed_dim else ()
+    for A in sec.restricted_action:
+        D = mat_inv(A) if sec.fixed_dim else ()
         num = det_series_factor(D, t_max, sign="plus", marker="ut")
         den = det_series_factor(D, t_max, sign="minus", marker="t",
                                 reciprocal=True)
@@ -204,13 +205,13 @@ def _per_element_hh(sec, t_max):
 
 def _per_element_hhcoh(sec, t_max):
     Z = sec.class_ref.centralizer
+    assert len(sec.restricted_action) == len(sec.det_normal_char) == len(Z)
     total = BiSeries.zero(sec.n, t_max)
-    for h in Z:
-        A = sec.restricted_action[h]
+    for A, chi in zip(sec.restricted_action, sec.det_normal_char):
         lam = det_series_factor(A, t_max, sign="plus", marker="u")
         sym = det_series_factor(mat_inv(A) if sec.fixed_dim else (), t_max,
                                 sign="minus", marker="t", reciprocal=True)
-        total = total + (lam * sym).shift_u(sec.c_g).scale(sec.det_normal_char[h])
+        total = total + (lam * sym).shift_u(sec.c_g).scale(chi)
     return total.scale(F(1, len(Z)))
 
 
@@ -265,14 +266,14 @@ def _reference_oracle(sector, p, d, mode):
     sidx = {sub: i for i, sub in enumerate(subsets)}
     ns = len(subsets)
     Z = sector.class_ref.centralizer
+    assert len(sector.restricted_action) == len(sector.det_normal_char) == len(Z)
     P = [[F(0)] * dim for _ in range(dim)]
-    for h in Z:
-        A = sector.restricted_action[h]
+    for A, chi in zip(sector.restricted_action, sector.det_normal_char):
         B = [row[f:] for row in fraction_gauss_jordan(
             [list(a) + [F(int(i == j)) for j in range(f)]
              for i, a in enumerate(A)])[0]]
         C = B if mode == "forms" else transpose(A)
-        scale = sector.det_normal_char[h] if mode != "forms" else F(1)
+        scale = chi if mode != "forms" else F(1)
         ext = {I: {J: _minor(C, I, J) for J in subsets} for I in subsets}
         for a, alpha in enumerate(monos):
             poly = _monomial_image(B, alpha)
@@ -304,8 +305,9 @@ def test_oracle_matches_fraction_reference_on_b3_conjugate():
     G = generate(tuple(mat_mul(mat_mul(B3_BASIS, g), mat_inv(B3_BASIS))
                        for g in B3), 1000)
     secs = _sectors(G)
-    assert any(F(-1) in s.det_normal_char.values() for s in secs)
-    assert any(x.denominator > 1 for g in G.elements for row in g for x in row)
+    assert any(F(-1) in s.det_normal_char for s in secs)
+    # some element has a non-integer entry: its common denominator d is > 1
+    assert any(d > 1 for d, _ in G.elements)
     _assert_oracle_matches_reference(G, 4)
 
 

@@ -4,10 +4,11 @@ from itertools import combinations
 import pytest
 
 from orbifold_hkr import sectors
-from orbifold_hkr.exact import (InternalError, NotInvertible, mat_det,
-                                mat_identity, mat_inv, mat_mul, mat_rank,
-                                mat_sub, mat_vec, nullspace_basis, rref)
-from orbifold_hkr.groups import conjugacy_classes, generate, matrix_key
+from orbifold_hkr.exact import (InternalError, NotInvertible, integer_form,
+                                mat_det, mat_identity, mat_inv, mat_mul,
+                                mat_rank, mat_sub, mat_vec, nullspace_basis,
+                                rational_matrix, rref)
+from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.sectors import (build_sector, derived_fixed_hilbert, monomials,
                                   shifted_tangent_hilbert)
 
@@ -16,12 +17,23 @@ from conftest import B3, B3_BASIS, ROT4, S3_PERM, SIGN_1D, m
 F = Fraction
 
 
+def _index(G, g):
+    # the element index of the matrix g
+    return G.elements.index(integer_form(m(g)))
+
+
+def _class_of(G, g):
+    i = _index(G, g)
+    return next(cls for cls in conjugacy_classes(G) if i in cls.members)
+
+
 def _sector_of(G, g):
-    key = tuple(tuple(F(x) for x in row) for row in g)
-    for cls in conjugacy_classes(G):
-        if key in cls.members:
-            return build_sector(G, cls)
-    raise AssertionError("element not found in any class")
+    return build_sector(G, _class_of(G, g))
+
+
+def _position(G, sec, g):
+    # where the matrix g sits in the sector's centralizer-ordered tuples
+    return sec.class_ref.centralizer.index(_index(G, g))
 
 
 def test_monomial_count():
@@ -37,16 +49,15 @@ def test_sign_group_sectors():
     tw = _sector_of(G, [[-1]])
     assert (e.fixed_dim, e.c_g) == (1, 0)
     assert (tw.fixed_dim, tw.c_g) == (0, 1)
-    assert set(e.det_normal_char.values()) == {F(1)}
-    assert sorted(tw.det_normal_char.values()) == [F(-1), F(1)]
+    assert set(e.det_normal_char) == {F(1)}
+    assert sorted(tw.det_normal_char) == [F(-1), F(1)]
 
 
 def test_rotation_sector_determinant_one():
     G = generate(ROT4, 100)
     rot = _sector_of(G, [[0, -1], [1, 0]])
     assert (rot.fixed_dim, rot.c_g) == (0, 2)
-    key = tuple(tuple(F(x) for x in row) for row in [[0, -1], [1, 0]])
-    assert rot.det_normal_char[key] == F(1)
+    assert rot.det_normal_char[_position(G, rot, [[0, -1], [1, 0]])] == F(1)
 
 
 def test_transposition_sector_of_s3():
@@ -54,17 +65,17 @@ def test_transposition_sector_of_s3():
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     sec = _sector_of(G, swap)
     assert (sec.fixed_dim, sec.c_g) == (2, 1)
-    key = tuple(tuple(F(x) for x in row) for row in swap)
-    assert sec.det_normal_char[key] == F(-1)
+    at = _position(G, sec, swap)
+    assert sec.det_normal_char[at] == F(-1)
     # g acts as the identity on its own fixed subspace
-    assert sec.restricted_action[key] == mat_identity(2)
+    assert sec.restricted_action[at] == mat_identity(2)
 
 
 def test_fixed_basis_is_correct(zoo_groups):
     for G in zoo_groups.values():
         for cls in conjugacy_classes(G):
             sec = build_sector(G, cls)
-            g = cls.representative
+            g = rational_matrix(*G.elements[cls.representative])
             A = mat_sub(g, mat_identity(G.n))
             for b in sec.fixed_basis:
                 assert not any(mat_vec(A, b))
@@ -75,38 +86,32 @@ def test_det_normal_char_is_multiplicative(zoo_groups):
     for G in zoo_groups.values():
         for cls in conjugacy_classes(G):
             sec = build_sector(G, cls)
-            Z = cls.centralizer
-            for h1 in Z:
-                for h2 in Z:
-                    prod = matrix_key(mat_mul(h1, h2))
-                    assert (sec.det_normal_char[prod]
-                            == sec.det_normal_char[h1] * sec.det_normal_char[h2])
+            Z = [rational_matrix(*G.elements[h]) for h in cls.centralizer]
+            # the product h1 h2 as a matrix, looked up among the centralizer
+            where = {integer_form(h): k for k, h in enumerate(Z)}
+            chi = sec.det_normal_char
+            for a, h1 in enumerate(Z):
+                for b, h2 in enumerate(Z):
+                    prod = where[integer_form(mat_mul(h1, h2))]
+                    assert chi[prod] == chi[a] * chi[b]
 
 
 def test_change_of_complement_leaves_character_alone():
     G = generate(S3_PERM, 100)
-    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    for cls in conjugacy_classes(G):
-        key = tuple(tuple(F(x) for x in row) for row in swap)
-        if key in cls.members:
-            default = build_sector(G, cls)
-            other = build_sector(G, cls, complement=[0])
-            assert default.det_normal_char == other.det_normal_char
-            return
-    raise AssertionError("transposition class not found")
+    cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    default = build_sector(G, cls)
+    other = build_sector(G, cls, complement=[0])
+    assert default.det_normal_char == other.det_normal_char
 
 
 def test_bad_complement_is_rejected():
     G = generate(S3_PERM, 100)
-    swap = m([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    for cls in conjugacy_classes(G):
-        if swap in cls.members:
-            with pytest.raises(NotInvertible):
-                # e_2 lies inside the fixed subspace, so it is no complement
-                build_sector(G, cls, complement=[2])
-            with pytest.raises(ValueError):
-                build_sector(G, cls, complement=[0, 1])
-            return
+    cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(NotInvertible):
+        # e_2 lies inside the fixed subspace, so it is no complement
+        build_sector(G, cls, complement=[2])
+    with pytest.raises(ValueError):
+        build_sector(G, cls, complement=[0, 1])
 
 
 def _conjugation_blocks(G, cls, comp):
@@ -114,7 +119,8 @@ def _conjugation_blocks(G, cls, comp):
     # Fraction products, as build_sector formed them before it used the
     # block formulas; None when B is singular, i.e. comp is no complement
     n = G.n
-    fixed = nullspace_basis(mat_sub(cls.representative, mat_identity(n)))
+    g = rational_matrix(*G.elements[cls.representative])
+    fixed = nullspace_basis(mat_sub(g, mat_identity(n)))
     f = len(fixed)
     B = tuple(tuple(fixed[k][i] if k < f else F(int(i == comp[k - f]))
                     for k in range(n)) for i in range(n))
@@ -122,14 +128,14 @@ def _conjugation_blocks(G, cls, comp):
         Binv = mat_inv(B)
     except NotInvertible:
         return None
-    restricted, charv = {}, {}
+    restricted, charv = [], []
     for h in cls.centralizer:
-        M = mat_mul(mat_mul(Binv, h), B)
+        M = mat_mul(mat_mul(Binv, rational_matrix(*G.elements[h])), B)
         assert not any(M[i][j] for i in range(f, n) for j in range(f))
-        restricted[h] = tuple(tuple(M[i][j] for j in range(f)) for i in range(f))
-        charv[h] = mat_det(tuple(tuple(M[i][j] for j in range(f, n))
-                                 for i in range(f, n)))
-    return restricted, charv
+        restricted.append(tuple(tuple(M[i][j] for j in range(f)) for i in range(f)))
+        charv.append(mat_det(tuple(tuple(M[i][j] for j in range(f, n))
+                                   for i in range(f, n))))
+    return tuple(restricted), tuple(charv)
 
 
 def test_block_formulas_match_conjugation_by_b(zoo_groups):
@@ -142,9 +148,10 @@ def test_block_formulas_match_conjugation_by_b(zoo_groups):
             default = [j for j in range(G.n) if j not in pivots]
             assert (sec.restricted_action, sec.det_normal_char) == \
                 _conjugation_blocks(G, cls, default)
-            # hkr reads both dicts side by side, in centralizer order
-            assert list(sec.restricted_action) == list(cls.centralizer)
-            assert list(sec.det_normal_char) == list(cls.centralizer)
+            # hkr reads both tuples side by side, in centralizer order
+            assert (len(sec.restricted_action) == len(sec.det_normal_char)
+                    == len(sec.class_ref.centralizer))
+            assert cls.members[0] == cls.representative
             for comp in combinations(range(G.n), sec.c_g):
                 want = _conjugation_blocks(G, cls, comp)
                 if want is None:
@@ -160,8 +167,7 @@ def test_block_formulas_match_conjugation_by_b(zoo_groups):
 
 def test_fixed_subspace_guard_is_an_internal_error(monkeypatch):
     G = generate(S3_PERM, 100)
-    swap = m([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    cls = next(c for c in conjugacy_classes(G) if swap in c.members)
+    cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     # span(e_1, e_3) is not fixed by the swap, which moves e_1 to e_2
     monkeypatch.setattr(sectors, "nullspace_basis",
                         lambda A: [m([[1, 0, 0]])[0], m([[0, 0, 1]])[0]])
@@ -221,4 +227,4 @@ def test_derived_equals_shifted_across_zoo(zoo_groups):
             sec = build_sector(G, cls)
             want = shifted_tangent_hilbert(sec, 6)
             for g in cls.members:
-                assert derived_fixed_hilbert(g, 6) == want
+                assert derived_fixed_hilbert(rational_matrix(*G.elements[g]), 6) == want
