@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .circle import (CentralReport, ChainComplex, central_complex,
                      cover_homology, fiber_dimension, gamma_homology,
                      generic_fiber_homology)
-from .exact import (BadRational, BiSeries, IntMatrix, InternalError,
-                    NotInvertible, det_series_factor, parse_rational,
-                    smith_normal_form)
+from .exact import (BadRational, BiSeries, InternalError, NotInvertible,
+                    det_series_factor, parse_rational, smith_normal_form)
 from .groups import (CapExceeded, ConjClass, MatrixGroup, OrderCapExceeded,
                      conjugacy_classes, generate)
 from .hkr import (BasisTooLarge, HHReport, brute_force_invariants,

@@ -9,41 +9,42 @@ plus a union-find count of graph components; no simplicial machinery.
 
 from collections import namedtuple
 
-from .exact import (IntMatrix, InternalError, QONE, QZERO, linear_solve,
-                    mat_mul, mat_rank, mat_vec, nullspace_basis,
-                    smith_normal_form)
+from .exact import (InternalError, QONE, QZERO, int_mat_mul, linear_solve,
+                    mat_rank, mat_vec, nullspace_basis, smith_normal_form)
 
 
 class ChainComplex:
     """Bounded complex of finitely generated free Z-modules.
 
     differentials[k] is the matrix of d: C_{k+1} -> C_k, shaped
-    ranks[k] x ranks[k+1]; d o d = 0 is checked at construction.
+    ranks[k] x ranks[k+1], kept as a tuple of int tuples; rectangular rows,
+    the shape and d o d = 0 are checked at construction.
     """
 
     def __init__(self, ranks, differentials):
         self.ranks = tuple(int(r) for r in ranks)
         if any(r < 0 for r in self.ranks):
             raise ValueError("negative rank")
+        if len(differentials) != len(self.ranks) - 1:
+            raise ValueError("need one differential per adjacent pair of ranks")
         ds = []
         for k, d in enumerate(differentials):
-            m = d if isinstance(d, IntMatrix) else IntMatrix(d)
+            m = tuple(tuple(int(x) for x in row) for row in d)
+            if m and any(len(r) != len(m[0]) for r in m):
+                raise ValueError("differential %d has ragged rows" % k)
             if self.ranks[k] and self.ranks[k + 1]:
-                if (m.rows, m.cols) != (self.ranks[k], self.ranks[k + 1]):
+                rows, cols = len(m), len(m[0]) if m else 0
+                if (rows, cols) != (self.ranks[k], self.ranks[k + 1]):
                     raise ValueError("differential %d has shape %dx%d, expected %dx%d"
-                                     % (k, m.rows, m.cols,
-                                        self.ranks[k], self.ranks[k + 1]))
-            elif m.entries and any(any(row) for row in m.entries):
+                                     % (k, rows, cols, self.ranks[k], self.ranks[k + 1]))
+            elif any(any(row) for row in m):
                 raise ValueError("nonzero differential on a rank-zero module")
             ds.append(m)
-        if len(ds) != len(self.ranks) - 1:
-            raise ValueError("need one differential per adjacent pair of ranks")
         self.differentials = tuple(ds)
         for k in range(len(ds) - 1):
             a, b = ds[k], ds[k + 1]
-            if a.rows and a.cols and b.cols:
-                prod = mat_mul(a.entries, b.entries)
-                if any(any(row) for row in prod):
+            if a and a[0] and b and b[0]:
+                if any(any(row) for row in int_mat_mul(a, b)):
                     raise ValueError("d o d != 0 between degrees %d and %d" % (k + 2, k))
 
     def homology(self):
@@ -51,7 +52,7 @@ class ChainComplex:
         n = len(self.ranks)
         snfs = []
         for d in self.differentials:
-            if d.rows and d.cols:
+            if d and d[0]:
                 snfs.append(smith_normal_form(d))
             else:
                 snfs.append(())

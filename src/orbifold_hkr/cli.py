@@ -257,6 +257,9 @@ def _gamma_report(job):
 
 
 def _circle_report(job):
+    if job.n * job.n > job.cap:  # the generic-fiber graph has n^2 edges
+        raise CapExceeded("circle n = %d has %d generic-fiber edges, over cap %d"
+                          % (job.n, job.n * job.n, job.cap))
     rep = central_complex(job.n)
     h0, h1 = generic_fiber_homology(job.n)
     return {

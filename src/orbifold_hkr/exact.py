@@ -1,10 +1,14 @@
 """Exact arithmetic kernels.
 
 Arbitrary-precision rationals (stdlib Fraction), dense linear algebra over Q,
-truncated bigraded series, and integer Smith normal form.  Everything is
-rational: characteristic polynomials come from Faddeev-LeVerrier traces, so no
+truncated series, and integer Smith normal form.  Everything is rational:
+characteristic polynomials come from Faddeev-LeVerrier traces, so no
 eigenvalue is ever needed.  Every value is immutable after construction; every
 function is pure.
+
+There is one series expansion, det_series_factor: 1 / det(I - tM) from the
+elementary symmetric functions of M.  BiSeries is the bigraded table the
+Molien sums are reported in; it only adds.
 
 There is one elimination loop, _echelon: fraction-free (Bareiss) Gauss-Jordan
 on integer-cleared rows.  rref, mat_rank, nullspace_basis, linear_solve,
@@ -271,13 +275,13 @@ def elementary_symmetric(M):
     return tuple(Fraction(-c if k % 2 else c, d ** k) for k, c in enumerate(coeffs))
 
 
-# truncated bigraded series --------------------------------------------------
+# truncated series --------------------------------------------------------
 
 class BiSeries:
     """Bigraded coefficient table: polynomial in u, series in t cut at t_max.
 
     rows[p][d] is the coefficient of u^p t^d, 0 <= p <= u_max, 0 <= d <= t_max.
-    Sums and products truncate consistently in t; u degrees add.
+    Sums pad the summand with fewer u degrees by zero rows.
     """
 
     __slots__ = ("u_max", "t_max", "rows")
@@ -307,48 +311,15 @@ class BiSeries:
             return (QZERO,) * (self.t_max + 1)
         return self.rows[p]
 
-    def pad_u(self, u_max):
-        if u_max < self.u_max:
-            raise ValueError("cannot shrink u_max")
-        rows = list(self.rows) + [(QZERO,) * (self.t_max + 1)] * (u_max - self.u_max)
-        return BiSeries(u_max, self.t_max, rows)
-
-    def shift_u(self, k):
-        """Multiply by u^k: prepend k zero rows."""
-        rows = [(QZERO,) * (self.t_max + 1)] * k + list(self.rows)
-        return BiSeries(self.u_max + k, self.t_max, rows)
-
     def __add__(self, other):
         if self.t_max != other.t_max:
             raise ValueError("t truncations differ")
         u = max(self.u_max, other.u_max)
-        a, b = self.pad_u(u), other.pad_u(u)
         # a zero summand costs no Fraction addition
         return BiSeries(u, self.t_max,
-                        [[x + y if x and y else x or y for x, y in zip(ra, rb)]
-                         for ra, rb in zip(a.rows, b.rows)])
-
-    def scale(self, c):
-        return BiSeries(self.u_max, self.t_max,
-                        [[x * c if x else x for x in row] for row in self.rows])
-
-    def __mul__(self, other):
-        if self.t_max != other.t_max:
-            raise ValueError("t truncations differ")
-        u = self.u_max + other.u_max
-        out = [[QZERO] * (self.t_max + 1) for _ in range(u + 1)]
-        for p1, r1 in enumerate(self.rows):
-            for d1, c1 in enumerate(r1):
-                if not c1:
-                    continue
-                for p2, r2 in enumerate(other.rows):
-                    row = out[p1 + p2]
-                    for d2 in range(0, self.t_max + 1 - d1):
-                        c2 = r2[d2]
-                        if c2:
-                            x = row[d1 + d2]
-                            row[d1 + d2] = x + c1 * c2 if x else c1 * c2
-        return BiSeries(u, self.t_max, out)
+                        [[x + y if x and y else x or y
+                          for x, y in zip(self.row(p), other.row(p))]
+                         for p in range(u + 1)])
 
     def __eq__(self, other):
         return (isinstance(other, BiSeries) and self.u_max == other.u_max
@@ -362,83 +333,31 @@ class BiSeries:
             self.u_max, self.t_max, [[str(c) for c in row] for row in self.rows])
 
 
-def _invert_series(a, t_max):
-    # 1 / (1 + a[1] t + ... + a[n] t^n) truncated at t_max, in O(n t_max)
-    # integer steps: with d the lcm of the denominators, A_k = a[k] d^k is
-    # integral, and the inverse is sum B_m (t / d)^m with B_0 = 1 and
-    # B_m = -(A_1 B_(m-1) + ... + A_n B_(m-n))
-    d = lcm(*[x.denominator for x in a])
-    A = [x.numerator * d ** k // x.denominator for k, x in enumerate(a)]
+def det_series_factor(e, t_max):
+    """1 / det(I - tM) expanded to t^t_max, from e = elementary_symmetric(M).
+
+    det(I - tM) = sum (-1)^k e_k t^k.  With d the lcm of the denominators of
+    e, A_k = (-1)^k e_k d^k is integral, and the inverse is sum B_m (t / d)^m
+    with B_0 = 1 and B_m = -(A_1 B_(m-1) + ... + A_n B_(m-n)): O(n t_max)
+    integer steps.
+
+    >>> det_series_factor(elementary_symmetric(((QONE,),)), 3)
+    (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
+    """
+    d = lcm(*[x.denominator for x in e])
+    A = [(-x.numerator if k % 2 else x.numerator) * d ** k // x.denominator
+         for k, x in enumerate(e)]
     B = [1]
     for m in range(1, t_max + 1):
         B.append(-sum(A[k] * B[m - k] for k in range(1, min(m, len(A) - 1) + 1)))
-    return [Fraction(b, d ** m) for m, b in enumerate(B)]
+    return tuple(Fraction(b, d ** m) for m, b in enumerate(B))
 
 
-def det_series_factor(M, t_max, sign="plus", marker="ut", reciprocal=False):
-    """Truncated expansion of det(I +- marker*M), or of 1/det(I - t*M).
-
-    marker "ut" places the k-th elementary symmetric function at u^k t^k,
-    marker "t" at t^k, marker "u" at u^k with no t-power (the exterior-power
-    generating polynomial).  reciprocal=True requires sign "minus", marker "t"
-    and returns the geometric-series inverse, exact to t_max.
-
-    >>> det_series_factor(((QONE,),), 3, sign="minus", reciprocal=True, marker="t").row(0)
-    (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
-    """
-    n = len(M)
-    e = elementary_symmetric(M)
-    if reciprocal:
-        if sign != "minus" or marker != "t":
-            raise ValueError("reciprocal mode expands 1/det(I - t*M)")
-        # the n + 1 coefficients of det(I - tM)
-        denom = [e[k] if k % 2 == 0 else -e[k] for k in range(n + 1)]
-        return BiSeries(0, t_max, [_invert_series(denom, t_max)])
-    s = QONE if sign == "plus" else -QONE
-    if marker == "t":
-        row = [e[k] * s ** k if k <= n else QZERO for k in range(t_max + 1)]
-        return BiSeries(0, t_max, [row])
-    if marker == "ut":
-        u = n
-        out = [[QZERO] * (t_max + 1) for _ in range(u + 1)]
-        for k in range(min(n, t_max) + 1):
-            out[k][k] = e[k] * s ** k
-        return BiSeries(u, t_max, out)
-    if marker == "u":
-        out = [[QZERO] * (t_max + 1) for _ in range(n + 1)]
-        for k in range(n + 1):
-            out[k][0] = e[k] * s ** k
-        return BiSeries(n, t_max, out)
-    raise ValueError("marker must be one of t, ut, u")
-
-
-# integer matrices and Smith normal form ------------------------------------
-
-class IntMatrix:
-    """Dense rectangular matrix of exact integers."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        es = tuple(tuple(int(x) for x in row) for row in entries)
-        if es and any(len(r) != len(es[0]) for r in es):
-            raise ValueError("ragged rows")
-        self.entries = es
-        self.rows = len(es)
-        self.cols = len(es[0]) if es else 0
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "IntMatrix(%s)" % (list(map(list, self.entries)),)
-
+# integer Smith normal form ---------------------------------------------------
 
 def smith_normal_form(M):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
+    as a list of integer rows.
 
     Ordinary elementary row/column operations, pivoting on the least nonzero
     absolute value; the matrices here are tiny so no modular tricks.
@@ -446,8 +365,7 @@ def smith_normal_form(M):
     >>> smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     (2, 2, 156)
     """
-    entries = M.entries if isinstance(M, IntMatrix) else M
-    A = [list(map(int, row)) for row in entries]
+    A = [list(row) for row in M]
     R = len(A)
     C = len(A[0]) if A else 0
     factors = []

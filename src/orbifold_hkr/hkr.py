@@ -2,8 +2,12 @@
 
 Two independent routes to the same numbers:
 
-  * Molien averaging: each centralizer element contributes a closed-form
-    rational factor and the average is expanded as an exact bigraded series.
+  * Molien averaging: centralizer element h contributes e_p(A_h) u^p times
+    the t-series 1/det(I - t A_h), A_h its action on V^g, placed at t^p for
+    homology and with no t-power for cohomology.  Each table comes from one
+    set of rows, the average of e_p(A_h) / det(I - t A_h) over the
+    centralizer: elementary_symmetric runs once per element and
+    det_series_factor once per distinct (e(A_h), character) key.
   * A brute-force oracle: explicit representation matrices on a monomial and
     exterior basis, then the rank of the averaging projector.  The matrices
     are integer: each sector's Sym^k images are built once, degree by degree,
@@ -20,11 +24,12 @@ underlying geometric weight of a cell is m - p since each polyvector field
 lowers weight by one.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from .exact import (BiSeries, InternalError, QONE, det_series_factor,
+from .exact import (BiSeries, InternalError, QONE, QZERO, det_series_factor,
                     elementary_symmetric, integer_form, mat_inv, mat_rank,
                     transpose)
 from .groups import conjugacy_classes
@@ -73,35 +78,40 @@ def _check_integral(series):
     return series
 
 
-def _molien_average(sector, t_max, u_max, twisted, numerator):
-    # average of numerator(A) / det(I - t A) over the centralizer, A the
-    # action on V^g, times the det-of-normal character when twisted; a term
-    # depends only on the characteristic polynomial of A and that character,
-    # so it is summed once per distinct key, weighted by the key's count
+def _molien_average(sector, t_max, twisted):
+    # rows p = 0..f of the centralizer average of chi_h e_p(A_h) / det(I - t A_h),
+    # A_h the action on V^g and chi_h the det-of-normal character when twisted
+    # (else 1); a term depends only on the key (e(A_h), chi_h), so each
+    # distinct key is expanded once and weighted by its count
     Z = sector.class_ref.centralizer
     chars = sector.det_normal_char if twisted else [QONE] * len(Z)
-    groups = {}
-    for A, char in zip(sector.restricted_action, chars):
-        groups.setdefault((elementary_symmetric(A), char), [A, 0])[1] += 1
-    total = BiSeries.zero(u_max, t_max)
-    for (_, char), (A, count) in groups.items():
-        den = det_series_factor(A, t_max, sign="minus", marker="t",
-                                reciprocal=True)
-        total = total + numerator(A).scale(char * Fraction(count, len(Z))) * den
-    return _check_integral(total)
+    keys = Counter(zip(map(elementary_symmetric, sector.restricted_action), chars))
+    rows = [[QZERO] * (t_max + 1) for _ in range(sector.fixed_dim + 1)]
+    for (e, chi), count in keys.items():
+        series = det_series_factor(e, t_max)
+        w = chi * Fraction(count, len(Z))
+        for row, ep in zip(rows, e):
+            c = w * ep
+            if c:
+                for d, x in enumerate(series):
+                    if x:
+                        row[d] += c * x
+    return rows
 
 
 def sector_hh_series(sector, t_max):
     """Bigraded Hilbert series of the sector's contribution to HH_*.
 
     Averages det(I + u t D) / det(I - t D) over the centralizer, D the dual
-    action on V^g, one term per distinct characteristic polynomial.  The
-    restricted action A stands in for D = A^-1: A has finite order and
-    rational entries, so its eigenvalues are roots of unity closed under
+    action on V^g: row p is the average of e_p(D) / det(I - t D) moved right
+    by p.  The restricted action A stands in for D = A^-1: A has finite order
+    and rational entries, so its eigenvalues are roots of unity closed under
     complex conjugation, which for roots of unity is inversion.
     """
-    return _molien_average(sector, t_max, sector.fixed_dim, False, lambda A:
-                           det_series_factor(A, t_max, sign="plus", marker="ut"))
+    rows = _molien_average(sector, t_max, False)
+    return _check_integral(BiSeries(sector.fixed_dim, t_max,
+                                    [([QZERO] * p + row)[:t_max + 1]
+                                     for p, row in enumerate(rows)]))
 
 
 def sector_hhcoh_series(sector, t_max):
@@ -109,12 +119,12 @@ def sector_hhcoh_series(sector, t_max):
 
     Per centralizer element: determinant-of-normal character times
     det(I + u A) on the polyvector side times the symmetric series of the
-    dual action, then the whole block moves down by the codimension.  Terms
-    are grouped, and A stands in for its inverse, as in sector_hh_series.
+    dual action, so row p + c_g is the twisted average of e_p(A) / det(I - t A),
+    with A standing in for its inverse as in sector_hh_series.
     """
-    return _molien_average(sector, t_max, sector.n, True, lambda A:
-                           det_series_factor(A, t_max, sign="plus", marker="u")
-                           .shift_u(sector.c_g))
+    rows = _molien_average(sector, t_max, True)
+    return _check_integral(BiSeries(sector.n, t_max,
+                                    [[QZERO] * (t_max + 1)] * sector.c_g + rows))
 
 
 def _ext_minors(C, f):
@@ -246,7 +256,7 @@ def full_report(G, t_max, mode="homology"):
         sec = build_sector(G, cls)
         s = series(sec, t_max)
         pairs.append((sec, s))
-        total = total + s.pad_u(G.n)
+        total = total + s
     conv = HOMOLOGY_CONVENTIONS if mode == "homology" else COHOMOLOGY_CONVENTIONS
     return HHReport(tuple(pairs), total, mode, dict(conv))
 

@@ -81,9 +81,4 @@ def hh_vector(stack):
     >>> hh_vector(WeightedStack((2, 3)))
     {0: 5}
     """
-    out = {}
-    for comp in inertia_components(stack):
-        for p in range(comp.dimension + 1):
-            i = p - p
-            out[i] = out.get(i, 0) + 1
-    return out
+    return {0: sum(c.dimension + 1 for c in inertia_components(stack))}

@@ -17,6 +17,16 @@ def test_chain_complex_rejects_nonzero_d_squared():
 def test_chain_complex_rejects_bad_shape():
     with pytest.raises(ValueError):
         ChainComplex((2, 1), ([[1]],))
+    # one differential too many
+    with pytest.raises(ValueError, match="one differential per"):
+        ChainComplex((1, 1), ([[0]], [[0]]))
+
+
+def test_chain_complex_rejects_ragged_differential():
+    with pytest.raises(ValueError, match="ragged"):
+        ChainComplex((2, 2), ([[1, 2], [3]],))
+    # the differentials are kept as int tuples
+    assert ChainComplex((1, 2), ([[1, -1]],)).differentials == (((1, -1),),)
 
 
 def test_gamma_values():

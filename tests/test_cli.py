@@ -240,6 +240,19 @@ def test_main_gamma_r_over_cap_exit_3(tmp_path, capsys):
     assert _exit_and_err(tmp_path, capsys, dict(doc, cap=11))[0] == 3
 
 
+def test_main_circle_n_over_cap_exit_3(tmp_path, capsys):
+    # the generic-fiber graph has n^2 edges; n = 316 is the largest n the
+    # default cap admits, and it took about 8 s
+    code, out, err = _exit_and_err(tmp_path, capsys, {"command": "circle", "n": 317})
+    assert code == 3 and out == ""
+    assert err == ("cap exceeded: circle n = 317 has 100489 generic-fiber edges,"
+                   " over cap 100000\n")
+    # the bound is inclusive
+    doc = {"command": "circle", "n": 20, "cap": 400}
+    assert _exit_and_err(tmp_path, capsys, doc)[0] == 0
+    assert _exit_and_err(tmp_path, capsys, dict(doc, cap=399))[0] == 3
+
+
 def test_main_flag_overrides(tmp_path, capsys):
     spec = tmp_path / "job.json"
     spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 9}')
@@ -281,7 +294,7 @@ def test_main_internal_error_exit_5(tmp_path, capsys, monkeypatch):
     # factor is off by a factor 3
     real = hkr.det_series_factor
     monkeypatch.setattr(hkr, "det_series_factor",
-                        lambda *a, **k: real(*a, **k).scale(F(1, 3)))
+                        lambda *a, **k: tuple(x / 3 for x in real(*a, **k)))
     spec = tmp_path / "job.json"
     spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 3}')
     assert main(["quotient", "--spec", str(spec)]) == 5

@@ -4,8 +4,9 @@ from types import FunctionType
 
 import pytest
 
-from orbifold_hkr import hkr
-from orbifold_hkr.exact import (BiSeries, det_series_factor, mat_inv, mat_mul,
+from orbifold_hkr import exact, hkr
+from orbifold_hkr.exact import (BiSeries, det_series_factor,
+                                elementary_symmetric, mat_inv, mat_mul,
                                 transpose)
 from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
@@ -190,29 +191,33 @@ def test_oracle_verdict_smoke():
 
 
 def _per_element_hh(sec, t_max):
-    # one term per centralizer element, with the dual action D = A^-1
+    # one term per centralizer element, with the dual action D = A^-1: the
+    # product of det(I + u t D) = sum e_p(D) u^p t^p with 1 / det(I - t D)
     Z = sec.class_ref.centralizer
     assert len(sec.restricted_action) == len(Z)
-    total = BiSeries.zero(sec.fixed_dim, t_max)
+    rows = [[F(0)] * (t_max + 1) for _ in range(sec.fixed_dim + 1)]
     for A in sec.restricted_action:
-        D = mat_inv(A) if sec.fixed_dim else ()
-        num = det_series_factor(D, t_max, sign="plus", marker="ut")
-        den = det_series_factor(D, t_max, sign="minus", marker="t",
-                                reciprocal=True)
-        total = total + num * den
-    return total.scale(F(1, len(Z)))
+        e = elementary_symmetric(mat_inv(A) if sec.fixed_dim else ())
+        series = det_series_factor(e, t_max)
+        for p, ep in enumerate(e):
+            for d in range(p, t_max + 1):
+                rows[p][d] += ep * series[d - p] / len(Z)
+    return BiSeries(sec.fixed_dim, t_max, rows)
 
 
 def _per_element_hhcoh(sec, t_max):
+    # chi times det(I + u A) = sum e_p(A) u^p times 1 / det(I - t D), D = A^-1,
+    # moved down by c_g rows
     Z = sec.class_ref.centralizer
     assert len(sec.restricted_action) == len(sec.det_normal_char) == len(Z)
-    total = BiSeries.zero(sec.n, t_max)
+    rows = [[F(0)] * (t_max + 1) for _ in range(sec.n + 1)]
     for A, chi in zip(sec.restricted_action, sec.det_normal_char):
-        lam = det_series_factor(A, t_max, sign="plus", marker="u")
-        sym = det_series_factor(mat_inv(A) if sec.fixed_dim else (), t_max,
-                                sign="minus", marker="t", reciprocal=True)
-        total = total + (lam * sym).shift_u(sec.c_g).scale(chi)
-    return total.scale(F(1, len(Z)))
+        series = det_series_factor(
+            elementary_symmetric(mat_inv(A) if sec.fixed_dim else ()), t_max)
+        for p, ep in enumerate(elementary_symmetric(A)):
+            for d in range(t_max + 1):
+                rows[p + sec.c_g][d] += chi * ep * series[d] / len(Z)
+    return BiSeries(sec.n, t_max, rows)
 
 
 def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
@@ -220,6 +225,26 @@ def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
         for sec in _sectors(G):
             assert sector_hh_series(sec, 8) == _per_element_hh(sec, 8)
             assert sector_hhcoh_series(sec, 8) == _per_element_hhcoh(sec, 8)
+
+
+def test_molien_key_is_computed_once_per_element(zoo_groups, monkeypatch):
+    # each table computes e(A_h) once per centralizer element and expands
+    # det_series_factor from it, so no call comes from anywhere else
+    calls = []
+    real = exact.elementary_symmetric
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(hkr, "elementary_symmetric", counted)
+    monkeypatch.setattr(exact, "elementary_symmetric", counted)
+    for G in zoo_groups.values():
+        for sec in _sectors(G):
+            for series in (sector_hh_series, sector_hhcoh_series):
+                calls.clear()
+                series(sec, 6)
+                assert len(calls) == len(sec.class_ref.centralizer), (sec, series)
 
 
 # the oracle against its dense Fraction form ----------------------------------------
