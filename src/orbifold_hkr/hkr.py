@@ -9,10 +9,15 @@ Two independent routes to the same numbers:
     centralizer: elementary_symmetric runs once per element and
     det_series_factor once per distinct (e(A_h), character) key.
   * A brute-force oracle: explicit representation matrices on a monomial and
-    exterior basis, then the rank of the averaging projector.  The matrices
-    are integer: each sector's Sym^k images are built once, degree by degree,
-    and its Lambda^p minors once per p; the projector, summed over a common
-    denominator, is ranked exactly by the one elimination kernel of exact.
+    exterior basis, then the rank of the averaging projector.  Each sector's
+    centralizer first acts in a reduced basis of its invariant lattice
+    sum_h A_h Z^f (integer Hermite form, then LLL for the invariant form
+    sum_h A_h^T A_h), where every matrix and its inverse is integral, so the
+    cost does not depend on the basis of the input.  The Sym^k images are
+    built once, degree by degree, and the Lambda^p minors once per p; the
+    distinct nonzero rows of the integer projector are ranked exactly by the
+    one elimination kernel of exact.  The work of every cell is estimated
+    from binomials and guarded before any image is built.
 
 The oracle shares no series or characteristic-polynomial code with the Molien
 path on purpose; agreement of the two is the correctness argument.
@@ -28,14 +33,19 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import mul
 
 from .exact import (BiSeries, InternalError, QONE, QZERO, det_series_factor,
-                    elementary_symmetric, integer_form, mat_inv, mat_rank,
-                    transpose)
+                    elementary_symmetric, int_mat_mul, integer_form, mat_inv,
+                    mat_rank, transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
 
-ORACLE_GUARD = 100000
+# oracle work, counted as projector entries plus images summed into them:
+# ORACLE_GUARD bounds one cell (a dense P of about 40 MB), ORACLE_WORK the
+# sum over every cell of a job (S5 on A^5 at t_max 6 estimates 2.2e7)
+ORACLE_GUARD = 5 * 10 ** 6
+ORACLE_WORK = 3 * 10 ** 7
 
 HOMOLOGY_CONVENTIONS = {
     "rows": "p = de Rham form degree; row p is HH_p of the sector sum",
@@ -50,7 +60,7 @@ COHOMOLOGY_CONVENTIONS = {
 
 
 class BasisTooLarge(RuntimeError):
-    """The oracle basis at the requested bidegree is over the guard size."""
+    """The oracle's estimated work, for one cell or a whole job, is over its guard."""
 
 
 class HHReport:
@@ -143,29 +153,144 @@ def _ext_minors(C, f):
     return out
 
 
+def _xgcd(a, b):
+    # (g, x, y) with g = gcd(a, b) = x a + y b >= 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, x0, y0, x1, y1 = b, r, x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _hermite_basis(vectors, f):
+    """Rows of the integer row Hermite form of vectors spanning Q^f.
+
+    Row c has its first nonzero entry, positive, in column c, and the entries
+    above each pivot are reduced modulo it.  Each vector is folded in by
+    unimodular gcd steps (Cohen, section 2.4), so the rows span exactly the
+    lattice of the vectors.
+    """
+    basis = [None] * f
+    for v in vectors:
+        for c in range(f):
+            if not v[c]:
+                continue
+            b = basis[c]
+            if b is None:
+                basis[c] = list(v) if v[c] > 0 else [-x for x in v]
+                break
+            g, x, y = _xgcd(b[c], v[c])
+            s, t = b[c] // g, v[c] // g
+            basis[c] = [x * bi + y * vi for bi, vi in zip(b, v)]
+            v = [s * vi - t * bi for bi, vi in zip(b, v)]
+    if None in basis:
+        raise InternalError("the oracle's lattice vectors do not span Q^f; "
+                            "this is a bug, not bad input")
+    for c in range(f):
+        for r in range(c):
+            q = basis[r][c] // basis[c][c]
+            if q:
+                basis[r] = [x - q * y for x, y in zip(basis[r], basis[c])]
+    return basis
+
+
+def _lll_reduce(basis, Q):
+    """LLL (delta = 3/4, Lenstra-Lenstra-Lovasz 1982) of the rows of basis for
+    the positive-definite integer form x Q y^T.
+
+    Textbook form (Cohen, section 2.6): Gram-Schmidt in Fractions, row k
+    size-reduced against every earlier row, then swapped down while the
+    Lovasz condition fails.  The rows span the same lattice throughout.
+    """
+    b = [list(v) for v in basis]
+
+    def form(x, y):
+        return sum(xi * sum(map(mul, row, y)) for xi, row in zip(x, Q) if xi)
+
+    def gram_schmidt():
+        star, norms, mu = [], [], []
+        for v in b:
+            w, coeffs = [Fraction(x) for x in v], []
+            for s, ns in zip(star, norms):
+                m = form(v, s) / ns
+                coeffs.append(m)
+                w = [wi - m * si for wi, si in zip(w, s)]
+            star.append(w)
+            norms.append(form(w, w))
+            mu.append(coeffs)
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu[k] = [m - q * mj for m, mj in zip(mu[k], mu[j])] + mu[k][j:]
+                mu[k][j] -= q
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
+
+
+def _reduced_actions(sector):
+    # the centralizer's action on V^g in a reduced basis of the invariant
+    # lattice L = sum_h A_h Z^f: the Hermite basis of L (from the columns of
+    # every A_h over their common denominator m), LLL-reduced for the
+    # invariant form sum_h A_h^T A_h.  Every A_h maps L onto L, so in that
+    # basis T (columns) each T^-1 A_h T is an integer matrix, and so is its
+    # inverse; with A_h = N_h / d_h and T^-1 = V / e it is V N_h T / (e d_h)
+    f = sector.fixed_dim
+    pairs = [integer_form(A) for A in sector.restricted_action]
+    m = lcm(*[d for d, _ in pairs])
+    columns = dict.fromkeys(tuple(x * (m // d) for x in col)
+                            for d, N in pairs for col in zip(*N))
+    Q = [[0] * f for _ in range(f)]
+    for d, N in pairs:
+        s = (m // d) ** 2
+        Q = [[q + s * x for q, x in zip(qrow, row)]
+             for qrow, row in zip(Q, int_mat_mul(transpose(N), N))]
+    T = transpose(_lll_reduce(_hermite_basis(columns, f), Q))
+    e, V = integer_form(mat_inv(T))
+    out = []
+    for d, N in pairs:
+        M = int_mat_mul(int_mat_mul(V, N), T)
+        q = e * d
+        if any(x % q for row in M for x in row):
+            raise InternalError("the oracle's lattice is not invariant; "
+                                "this is a bug, not bad input")
+        out.append(tuple(tuple(x // q for x in row) for row in M))
+    return out
+
+
 def _oracle_tables(sector):
     # the integer data of every centralizer element h, made once per sector
-    # and kept on it: "dual" holds (D_h, B_h D_h) with B_h = A_h^-1 the dual
-    # action, "sym"[k] the Sym^k images, and each mode its (E_h, Lambda minors
-    # of C_h E_h), C_h = B_h for forms and A_h^T for polyvectors
+    # and kept on it, all in the reduced lattice basis of _reduced_actions:
+    # "dual" holds B_h = A_h^-1, the dual action, "sym"[k] the Sym^k images,
+    # and each mode the Lambda minors of C_h, C_h = B_h for forms and A_h^T
+    # for polyvectors
     if sector._oracle is None:
         f = sector.fixed_dim
-        actions = sector.restricted_action
-        dual = [integer_form(mat_inv(A) if f else ()) for A in actions]
+        actions = _reduced_actions(sector)
+        dual = [integer_form(mat_inv(A))[1] for A in actions]
         sector._oracle = {
             "dual": dual,
             "sym": [[[{0: 1}] for _ in dual]],
-            "forms": [(D, _ext_minors(B, f)) for D, B in dual],
-            "polyvectors_twisted": [(E, _ext_minors(C, f)) for E, C in
-                                    (integer_form(transpose(A)) for A in actions)],
+            "forms": [_ext_minors(B, f) for B in dual],
+            "polyvectors_twisted": [_ext_minors(transpose(A), f) for A in actions],
         }
     return sector._oracle
 
 
 def _sym_images(tables, f, k):
     # per h, the image of each degree-k monomial (monomials(f, k) order) as
-    # {index of a degree-k monomial: integer coefficient} over D_h^k; the
-    # image of x^alpha is that of x^(alpha - e_i) times row i of B_h D_h
+    # {index of a degree-k monomial: integer coefficient}; the image of
+    # x^alpha is that of x^(alpha - e_i) times row i of B_h
     levels = tables["sym"]
     while len(levels) <= k:
         lower = {m: i for i, m in enumerate(monomials(f, len(levels) - 1))}
@@ -177,7 +302,7 @@ def _sym_images(tables, f, k):
             i = next(i for i, a in enumerate(alpha) if a)
             steps.append((i, lower[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]))
         level = []
-        for (_, B), images in zip(tables["dual"], levels[-1]):
+        for B, images in zip(tables["dual"], levels[-1]):
             out = []
             for i, parent in steps:
                 poly = {}
@@ -191,6 +316,26 @@ def _sym_images(tables, f, k):
     return levels[k]
 
 
+def _cell_shape(sector, p, d, mode):
+    # (Sym degree, basis size) of one oracle cell, the size from binomials
+    # alone: monomials of the Sym degree in f variables times p-subsets of f
+    if mode == "forms":
+        deg = d - p
+    elif mode == "polyvectors_twisted":
+        deg = d
+    else:
+        raise ValueError("mode must be 'forms' or 'polyvectors_twisted'")
+    f = sector.fixed_dim
+    if p < 0 or p > f or deg < 0:
+        return deg, 0
+    return deg, (comb(deg + f - 1, f - 1) if f else int(deg == 0)) * comb(f, p)
+
+
+def _cell_work(sector, dim):
+    # the projector's entries plus the images summed into it
+    return dim * dim + len(sector.class_ref.centralizer) * dim
+
+
 def brute_force_invariants(sector, p, d, mode):
     """Invariant dimension at one bidegree, by averaging-projector rank.
 
@@ -201,39 +346,31 @@ def brute_force_invariants(sector, p, d, mode):
     column convention.
 
     Sums explicit representation matrices on the monomial/exterior basis and
-    takes the exact rank.  Everything is integer: each sector's Sym images
-    (built degree by degree) and Lambda minors are made once and kept on the
-    Sector, each matrix is scaled to the common denominator of the cell, and
-    the 1/|Z| of the projector is left out, since no scaling changes a rank.
+    takes the exact rank.  The centralizer acts in a reduced basis of its
+    invariant lattice (Hermite form, then LLL), where every matrix and its
+    inverse is integral, so the Sym images (built degree by degree) and the
+    Lambda minors, made once and kept on the Sector, are integer and the
+    characters are +-1.  The 1/|Z| of the projector is left out, since no
+    scaling changes a rank, and only the distinct nonzero rows of the
+    projector are ranked, since repeated rows never add to it.  A cell whose
+    projector entries plus summed images exceed ORACLE_GUARD raises
+    BasisTooLarge before anything is built.
     """
-    if mode == "forms":
-        deg = d - p
-    elif mode == "polyvectors_twisted":
-        deg = d
-    else:
-        raise ValueError("mode must be 'forms' or 'polyvectors_twisted'")
-    f = sector.fixed_dim
-    if p < 0 or p > f or deg < 0:
-        return 0
-    ns = comb(f, p)
-    dim = len(monomials(f, deg)) * ns
+    deg, dim = _cell_shape(sector, p, d, mode)
     if dim == 0:
         return 0
-    if dim > ORACLE_GUARD:
-        raise BasisTooLarge("oracle basis has %d elements (guard %d)"
-                            % (dim, ORACLE_GUARD))
+    work = _cell_work(sector, dim)
+    if work > ORACLE_GUARD:
+        raise BasisTooLarge("oracle cell has %d basis elements, work %d over the "
+                            "guard %d" % (dim, work, ORACLE_GUARD))
+    f = sector.fixed_dim
+    ns = comb(f, p)
     tables = _oracle_tables(sector)
-    ext = tables[mode]
     chars = (sector.det_normal_char if mode == "polyvectors_twisted"
-             else [QONE] * len(sector.class_ref.centralizer))
-    # the matrix of h is (integer matrix) / (den(chi_h) D_h^deg E_h^p)
-    dens = [chi.denominator * D ** deg * E ** p
-            for chi, (D, _), (E, _) in zip(chars, tables["dual"], ext)]
-    L = lcm(*dens)
+             else [1] * len(sector.class_ref.centralizer))
     P = [[0] * dim for _ in range(dim)]
-    for chi, den, images, (_, minors) in zip(chars, dens,
-                                             _sym_images(tables, f, deg), ext):
-        w = chi.numerator * (L // den)
+    for chi, images, minors in zip(chars, _sym_images(tables, f, deg), tables[mode]):
+        w = int(chi)
         for a, image in enumerate(images):
             for i, targets in enumerate(minors[p]):
                 col = a * ns + i
@@ -242,7 +379,7 @@ def brute_force_invariants(sector, p, d, mode):
                     wc = w * cb
                     for j, mj in targets:
                         P[base + j][col] += wc * mj
-    return mat_rank(P)
+    return mat_rank([row for row in dict.fromkeys(map(tuple, P)) if any(row)])
 
 
 def full_report(G, t_max, mode="homology"):
@@ -261,13 +398,28 @@ def full_report(G, t_max, mode="homology"):
     return HHReport(tuple(pairs), total, mode, dict(conv))
 
 
+def _oracle_work(sectors, t_max):
+    # the estimated work of every cell that oracle_verdict checks
+    return [_cell_work(sec, _cell_shape(sec, pdeg, d, kind)[1])
+            for sec in sectors for kind in ("forms", "polyvectors_twisted")
+            for pdeg in range(sec.fixed_dim + 1) for d in range(t_max + 1)]
+
+
 def oracle_verdict(G, t_max):
     """Check every Molien cell of both tables against the brute-force oracle.
 
+    Before any image is built, the work of every cell is estimated from
+    binomials alone, as brute_force_invariants measures it; a cell over
+    ORACLE_GUARD or a total over ORACLE_WORK raises BasisTooLarge.
     Returns None on full agreement, else a dict locating the first mismatch.
     """
-    for idx, cls in enumerate(conjugacy_classes(G)):
-        sec = build_sector(G, cls)
+    sectors = [build_sector(G, cls) for cls in conjugacy_classes(G)]
+    work = _oracle_work(sectors, t_max)
+    if max(work) > ORACLE_GUARD or sum(work) > ORACLE_WORK:
+        raise BasisTooLarge("oracle work estimate %d (largest cell %d) is over the "
+                            "guard %d (per cell %d)"
+                            % (sum(work), max(work), ORACLE_WORK, ORACLE_GUARD))
+    for idx, sec in enumerate(sectors):
         for mode, series, kind, shift in (
                 ("homology", sector_hh_series, "forms", 0),
                 ("cohomology", sector_hhcoh_series, "polyvectors_twisted", sec.c_g)):

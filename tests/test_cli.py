@@ -253,6 +253,24 @@ def test_main_circle_n_over_cap_exit_3(tmp_path, capsys):
     assert _exit_and_err(tmp_path, capsys, dict(doc, cap=399))[0] == 3
 
 
+def test_main_oracle_work_over_guard_exit_3(tmp_path, capsys, monkeypatch):
+    # a reflection of A^10 at t_max 6: the identity sector's largest cell has
+    # 5005 * 252 basis elements, a dense projector of 1.6e12 entries, so the
+    # estimate refuses the job before any oracle image is built
+    def no_images(sector):
+        raise AssertionError("an oracle image was built")
+
+    monkeypatch.setattr(hkr, "_oracle_tables", no_images)
+    reflection = [[-1 if i == j == 9 else int(i == j) for j in range(10)]
+                  for i in range(10)]
+    doc = {"command": "quotient", "generators": [reflection], "t_max": 6,
+           "oracle": True}
+    code, out, err = _exit_and_err(tmp_path, capsys, doc)
+    assert (code, out) == (3, "")
+    assert err == ("cap exceeded: oracle work estimate 6008243456892 (largest cell "
+                   "1590779310120) is over the guard 30000000 (per cell 5000000)\n")
+
+
 def test_main_flag_overrides(tmp_path, capsys):
     spec = tmp_path / "job.json"
     spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 9}')

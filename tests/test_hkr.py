@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb, gcd, prod
 from types import FunctionType
 
 import pytest
 
 from orbifold_hkr import exact, hkr
 from orbifold_hkr.exact import (BiSeries, det_series_factor,
-                                elementary_symmetric, mat_inv, mat_mul,
+                                elementary_symmetric, mat_det, mat_inv, mat_mul,
                                 transpose)
 from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
@@ -122,6 +123,64 @@ def test_oracle_guard():
     with pytest.raises(BasisTooLarge):
         brute_force_invariants(sec, 4, 16, "forms")
     assert sec._oracle is None  # the guard runs before any image is built
+
+
+def test_oracle_cell_guard_boundary(monkeypatch):
+    # identity sector of S3, forms p = 1 at weight 3: 6 quadrics times 3
+    # one-forms, so the work is 18^2 entries plus 6 * 18 summed images
+    G = generate(S3_PERM, 100000)
+    work = 18 * 18 + 6 * 18
+    monkeypatch.setattr(hkr, "ORACLE_GUARD", work)
+    sec = _sectors(G)[0]
+    assert sec.fixed_dim == 3
+    assert brute_force_invariants(sec, 1, 3, "forms") == sector_hh_series(sec, 3).coeff(1, 3)
+    monkeypatch.setattr(hkr, "ORACLE_GUARD", work - 1)
+    sec = _sectors(G)[0]
+    with pytest.raises(BasisTooLarge):
+        brute_force_invariants(sec, 1, 3, "forms")
+    assert sec._oracle is None
+
+
+def _oracle_work_by_hand(G, t_max):
+    # (sum, largest) over sectors, both modes, p and d of dim^2 + |Z| dim,
+    # dim = (monomials of the Sym degree) * (p-subsets), from binomials
+    cells = []
+    for sec in _sectors(G):
+        f, z = sec.fixed_dim, len(sec.class_ref.centralizer)
+        for p in range(f + 1):
+            for d in range(t_max + 1):
+                for deg in (d - p, d):  # forms, polyvectors
+                    dim = comb(deg + f - 1, f - 1) * comb(f, p) if deg >= 0 else 0
+                    cells.append(dim * dim + z * dim)
+    return sum(cells), max(cells)
+
+
+def test_oracle_work_guard_boundary(monkeypatch):
+    G = generate(S3_PERM, 100000)
+    total, largest = _oracle_work_by_hand(G, 4)
+    assert (total, largest) == (12780, 2295)
+    monkeypatch.setattr(hkr, "ORACLE_WORK", total)
+    monkeypatch.setattr(hkr, "ORACLE_GUARD", largest)
+    assert oracle_verdict(G, 4) is None
+
+    def no_images(sector):
+        raise AssertionError("an oracle image was built")
+
+    monkeypatch.setattr(hkr, "_oracle_tables", no_images)
+    for work, guard in ((total - 1, largest), (total, largest - 1)):
+        monkeypatch.setattr(hkr, "ORACLE_WORK", work)
+        monkeypatch.setattr(hkr, "ORACLE_GUARD", guard)
+        with pytest.raises(BasisTooLarge):
+            oracle_verdict(G, 4)
+
+
+def test_oracle_guards_admit_s5_through_t_max_6():
+    G = generate(_adjacent_transpositions(5), 1000)
+    for t_max, admitted in ((6, True), (7, False)):
+        total, largest = _oracle_work_by_hand(G, t_max)
+        work = hkr._oracle_work(_sectors(G), t_max)
+        assert (sum(work), max(work)) == (total, largest)
+        assert (total <= hkr.ORACLE_WORK and largest <= hkr.ORACLE_GUARD) == admitted
 
 
 def test_oracle_rejects_unknown_mode():
@@ -334,6 +393,95 @@ def test_oracle_matches_fraction_reference_on_b3_conjugate():
     # some element has a non-integer entry: its common denominator d is > 1
     assert any(d > 1 for d, _ in G.elements)
     _assert_oracle_matches_reference(G, 4)
+
+
+def _adjacent_transpositions(n):
+    gens = []
+    for k in range(n - 1):
+        perm = list(range(n))
+        perm[k], perm[k + 1] = k + 1, k
+        gens.append(m([[int(j == perm[i]) for j in range(n)] for i in range(n)]))
+    return tuple(gens)
+
+
+# S4 on A^4 written in a basis with denominators 2, 4 and 5 (det -8)
+DET8 = m([[2, 0, 0, 2], [-2, 1, -1, -2], [-1, -2, 0, 1], [-1, 1, 2, -2]])
+
+
+def test_oracle_in_a_basis_with_denominators_matches_the_permutation_basis():
+    S4 = _adjacent_transpositions(4)
+    plain = _sectors(generate(S4, 1000))
+    conj = _sectors(generate(tuple(mat_mul(mat_mul(DET8, g), mat_inv(DET8))
+                                   for g in S4), 1000))
+    assert {x.denominator for s in conj for A in s.restricted_action
+            for row in A for x in row} == {1, 2, 4, 5}
+    for a, b in zip(plain, conj):
+        assert (len(a.class_ref.members), a.fixed_dim) == (len(b.class_ref.members),
+                                                           b.fixed_dim)
+        for mode in ("forms", "polyvectors_twisted"):
+            for p in range(a.fixed_dim + 1):
+                for d in range(4):
+                    assert (brute_force_invariants(b, p, d, mode)
+                            == brute_force_invariants(a, p, d, mode)), (b, mode, p, d)
+        # the inverses of the reduced actions are the reduced actions, and the
+        # Lambda^1 minors of the polyvector mode are the entries of their
+        # transposes: every one is an integer in {-1, 0, 1}
+        entries = ([x for B in b._oracle["dual"] for row in B for x in row]
+                   + [x for minors in b._oracle["polyvectors_twisted"]
+                      for row in minors[1] for _, x in row])
+        assert {type(x) for x in entries} == {int}
+        assert set(entries) <= {-1, 0, 1}
+
+
+# the invariant lattice basis --------------------------------------------------------
+
+def test_hermite_basis_spans_exactly_the_lattice_of_its_generators():
+    gens = [(4, 6, 2), (-2, 3, 5), (6, 0, 4), (0, 9, -3), (2, 2, 2), (0, 0, -7)]
+    basis = hkr._hermite_basis(gens, 3)
+    for c, row in enumerate(basis):
+        assert not any(row[:c]) and row[c] > 0
+        assert all(0 <= basis[r][c] < row[c] for r in range(c))
+    # each generator is an integral combination of the rows: back-substitute
+    for v in gens:
+        rest = list(v)
+        for c, row in enumerate(basis):
+            q, r = divmod(rest[c], row[c])
+            assert r == 0
+            rest = [x - q * y for x, y in zip(rest, row)]
+        assert not any(rest)
+    # and the rows lie in the lattice of the generators: the index of the
+    # lattice they span is the gcd of the generators' 3 x 3 minors
+    minors = [int(mat_det(c)) for c in combinations(gens, 3)]
+    assert prod(row[c] for c, row in enumerate(basis)) == gcd(*minors)
+
+
+def _gram_schmidt(b, Q):
+    def form(x, y):
+        return sum(x[i] * Q[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
+    star, mu = [], []
+    for v in b:
+        coeffs = [form(v, s) / form(s, s) for s in star]
+        w = [F(x) for x in v]
+        for c, s in zip(coeffs, star):
+            w = [wi - c * si for wi, si in zip(w, s)]
+        star.append(w)
+        mu.append(coeffs)
+    return mu, [form(s, s) for s in star]
+
+
+def test_lll_reduce_is_size_reduced_and_lovasz_under_q():
+    Q = ((4, 1, 0), (1, 3, 1), (0, 1, 2))
+    basis = [[201, 37, -12], [1648, 297, -94], [-55, 8, 33]]
+    out = hkr._lll_reduce(basis, Q)
+    mu, norms = _gram_schmidt(out, Q)
+    assert all(abs(x) <= F(1, 2) for row in mu for x in row)
+    assert all(norms[k] >= (F(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, len(out)))
+    # the same lattice: integral coordinates in the old basis, equal |det|
+    coords = mat_mul(out, mat_inv(m(basis)))
+    assert all(x.denominator == 1 for row in coords for x in row)
+    assert abs(mat_det(out)) == abs(mat_det(basis))
+    assert out != basis
 
 
 def test_oracle_code_shares_nothing_with_molien():
