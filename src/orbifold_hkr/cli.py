@@ -186,6 +186,11 @@ def _homology_name(h):
 
 
 def _quotient_report(job):
+    n = len(job.generators[0])
+    cells = (job.t_max + 1) * (n + 1)
+    if cells > job.cap:  # each reported table has n + 1 rows of t_max + 1 cells
+        raise CapExceeded("t_max = %d on A^%d gives %d cells per table, over cap %d"
+                          % (job.t_max, n, cells, job.cap))
     G = generate(job.generators, job.cap)
     hom = full_report(G, job.t_max, "homology")
     coh = full_report(G, job.t_max, "cohomology")

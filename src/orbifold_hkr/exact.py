@@ -7,12 +7,12 @@ eigenvalue is ever needed.  Every value is immutable after construction; every
 function is pure.
 
 There is one series expansion, det_series_factor: 1 / det(I - tM) from the
-elementary symmetric functions of M.  BiSeries is the bigraded table the
-Molien sums are reported in; it only adds.
+integer key that elementary_symmetric makes of M's (d, N) pair.  BiSeries is
+the bigraded table the Molien sums are reported in; it only adds.
 
 There is one elimination loop, _echelon: fraction-free (Bareiss) Gauss-Jordan
 on integer-cleared rows.  rref, mat_rank, nullspace_basis, linear_solve,
-mat_inv and mat_det are views of its result.
+inverse_pair (and with it mat_inv) and mat_det are views of its result.
 """
 
 from fractions import Fraction
@@ -91,10 +91,15 @@ def mat_vec(A, v):
 # gcd(d, content of N) = 1, so the pair is unique and can serve as a key.
 
 def integer_form(M):
-    """(d, N) with d the lcm of the denominators of M and N = d * M, a tuple
-    of int tuples.  Entries may be ints or Fractions."""
+    """The pair (d, N) of M, a tuple of int tuples; entries may be ints or Fractions."""
     d = lcm(*[x.denominator for row in M for x in row])
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M)
+
+
+def lowest_terms(d, N):
+    """The pair (d, N) with gcd(d, content of N) divided out of both."""
+    g = gcd(d, *[x for row in N for x in row]) if d > 1 else 1
+    return (d, N) if g == 1 else (d // g, tuple(tuple(x // g for x in row) for row in N))
 
 
 def rational_matrix(d, N):
@@ -225,9 +230,9 @@ def linear_solve(A, rhs):
     return sols
 
 
-def mat_inv(A):
-    """Inverse as the right half of the echelon of [A | I]; raises
-    NotInvertible on singular input.
+def inverse_pair(A):
+    """The pair (e, V) of A^-1 = V / e in lowest terms, from the right half of
+    the echelon of [A | I]; raises NotInvertible on singular input.
 
     [A | I] always has rank n, so A is invertible exactly when the n pivots
     are the columns of A.
@@ -237,8 +242,13 @@ def mat_inv(A):
                                 for i, a in enumerate(A)])
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
-                 for i, row in enumerate(rows))
+    e = lcm(*[row[i] for i, row in enumerate(rows)])
+    return lowest_terms(e, tuple(tuple(x * (e // row[i]) for x in row[n:])
+                                 for i, row in enumerate(rows)))
+
+
+def mat_inv(A):
+    return rational_matrix(*inverse_pair(A))
 
 
 def mat_det(A):
@@ -251,16 +261,16 @@ def mat_det(A):
     return Fraction(s * rows[-1][pivots[-1]], t)
 
 
-def elementary_symmetric(M):
-    """e_0, ..., e_n of the eigenvalues of M via the Faddeev-LeVerrier recursion.
+def elementary_symmetric(pair):
+    """The integer key (D, A) of M = N / d, pair = (d, N): det(I - tM) =
+    sum A_k (t / D)^k with D > 0 the least denominator that makes every A_k
+    an integer, so e_k(M) = (-1)^k A_k / D^k and conjugates share the key.
 
-    The recursion runs on the integer matrix N = d * M of integer_form: the
-    characteristic polynomial sum c_k x^(n-k) of N is integral, so each
-    c_k = -trace / k is an exact integer division.  M = N / d has the
-    coefficients c_k / d^k, hence e_k = (-1)^k c_k / d^k.
+    Faddeev-LeVerrier on N, whose characteristic polynomial sum c_k x^(n-k) is
+    integral: det(I - tM) = sum c_k (t / d)^k, so D divides d (1 for finite order).
     """
-    n = len(M)
-    d, N = integer_form(M)
+    d, N = pair
+    n = len(N)
     B = N
     coeffs = [1]
     for k in range(1, n + 1):
@@ -271,8 +281,9 @@ def elementary_symmetric(M):
             shifted = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
                             for i, row in enumerate(B))
             B = int_mat_mul(N, shifted)
-    # char poly of M is sum coeffs[k] / d^k x^{n-k}, so e_k = (-1)^k coeffs[k] / d^k
-    return tuple(Fraction(-c if k % 2 else c, d ** k) for k, c in enumerate(coeffs))
+    D = next(D for D in range(1, d + 1) if d % D == 0 and not any(
+        c * D ** k % d ** k for k, c in enumerate(coeffs)))
+    return D, tuple(c * D ** k // d ** k for k, c in enumerate(coeffs))
 
 
 # truncated series --------------------------------------------------------
@@ -333,24 +344,21 @@ class BiSeries:
             self.u_max, self.t_max, [[str(c) for c in row] for row in self.rows])
 
 
-def det_series_factor(e, t_max):
-    """1 / det(I - tM) expanded to t^t_max, from e = elementary_symmetric(M).
+def det_series_factor(key, t_max):
+    """1 / det(I - tM) to t^t_max, from the key (D, A) of elementary_symmetric.
 
-    det(I - tM) = sum (-1)^k e_k t^k.  With d the lcm of the denominators of
-    e, A_k = (-1)^k e_k d^k is integral, and the inverse is sum B_m (t / d)^m
-    with B_0 = 1 and B_m = -(A_1 B_(m-1) + ... + A_n B_(m-n)): O(n t_max)
-    integer steps.
+    det(I - tM) = sum A_k (t / D)^k, so the inverse is
+    sum B_m (t / D)^m with B_0 = 1 and B_m = -(A_1 B_(m-1) + ... +
+    A_n B_(m-n)): O(n t_max) integer steps.
 
-    >>> det_series_factor(elementary_symmetric(((QONE,),)), 3)
+    >>> det_series_factor(elementary_symmetric((1, ((1,),))), 3)
     (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
     """
-    d = lcm(*[x.denominator for x in e])
-    A = [(-x.numerator if k % 2 else x.numerator) * d ** k // x.denominator
-         for k, x in enumerate(e)]
+    D, A = key
     B = [1]
     for m in range(1, t_max + 1):
         B.append(-sum(A[k] * B[m - k] for k in range(1, min(m, len(A) - 1) + 1)))
-    return tuple(Fraction(b, d ** m) for m, b in enumerate(B))
+    return tuple(Fraction(b, D ** m) for m, b in enumerate(B))
 
 
 # integer Smith normal form ---------------------------------------------------

@@ -8,9 +8,9 @@ conjugacy classes, centralizers and the exponent are computed on indices.
 """
 
 from collections import namedtuple
-from math import gcd, lcm
+from math import lcm
 
-from .exact import int_mat_mul, integer_form, mat_identity, mat_inv
+from .exact import int_mat_mul, integer_form, inverse_pair, lowest_terms, mat_identity
 
 DEFAULT_CAP = 100000
 
@@ -73,15 +73,7 @@ def minkowski_bound(n):
 
 
 def _product(a, b):
-    # (d, N) of the product of two (d, N) pairs: divide out gcd(d, content)
-    d = a[0] * b[0]
-    N = int_mat_mul(a[1], b[1])
-    if d > 1:
-        g = gcd(d, *[x for row in N for x in row])
-        if g > 1:
-            d //= g
-            N = tuple(tuple(x // g for x in row) for row in N)
-    return d, N
+    return lowest_terms(a[0] * b[0], int_mat_mul(a[1], b[1]))
 
 
 def element_order(M, cap=DEFAULT_CAP):
@@ -156,7 +148,7 @@ def generate(generators, cap=DEFAULT_CAP):
     n = _check_square(generators)
     bound = minkowski_bound(n)
     for g in generators:
-        mat_inv(g)  # raises NotInvertible on singular input
+        inverse_pair(g)  # raises NotInvertible on singular input
         element_order(g, cap)
     gens = [integer_form(g) for g in generators]
     elements = [integer_form(mat_identity(n))]

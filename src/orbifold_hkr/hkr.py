@@ -6,8 +6,8 @@ Two independent routes to the same numbers:
     the t-series 1/det(I - t A_h), A_h its action on V^g, placed at t^p for
     homology and with no t-power for cohomology.  Each table comes from one
     set of rows, the average of e_p(A_h) / det(I - t A_h) over the
-    centralizer: elementary_symmetric runs once per element and
-    det_series_factor once per distinct (e(A_h), character) key.
+    centralizer: elementary_symmetric keys each (d, N) pair A_h by integers,
+    and det_series_factor runs once per distinct (key, character) pair.
   * A brute-force oracle: explicit representation matrices on a monomial and
     exterior basis, then the rank of the averaging projector.  Each sector's
     centralizer first acts in a reduced basis of its invariant lattice
@@ -35,9 +35,9 @@ from itertools import combinations
 from math import comb, lcm
 from operator import mul
 
-from .exact import (BiSeries, InternalError, QONE, QZERO, det_series_factor,
-                    elementary_symmetric, int_mat_mul, integer_form, mat_inv,
-                    mat_rank, transpose)
+from .exact import (BiSeries, InternalError, QZERO, det_series_factor,
+                    elementary_symmetric, int_mat_mul, inverse_pair, mat_rank,
+                    transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
 
@@ -91,17 +91,16 @@ def _check_integral(series):
 def _molien_average(sector, t_max, twisted):
     # rows p = 0..f of the centralizer average of chi_h e_p(A_h) / det(I - t A_h),
     # A_h the action on V^g and chi_h the det-of-normal character when twisted
-    # (else 1); a term depends only on the key (e(A_h), chi_h), so each
-    # distinct key is expanded once and weighted by its count
+    # (else 1); a term depends only on (key (D, A) of A_h, chi_h), so each one
+    # is expanded once, weighted by its count, with e_p = (-1)^p A_p / D^p
     Z = sector.class_ref.centralizer
-    chars = sector.det_normal_char if twisted else [QONE] * len(Z)
+    chars = sector.det_normal_char if twisted else [1] * len(Z)
     keys = Counter(zip(map(elementary_symmetric, sector.restricted_action), chars))
     rows = [[QZERO] * (t_max + 1) for _ in range(sector.fixed_dim + 1)]
-    for (e, chi), count in keys.items():
-        series = det_series_factor(e, t_max)
-        w = chi * Fraction(count, len(Z))
-        for row, ep in zip(rows, e):
-            c = w * ep
+    for ((D, A), chi), count in keys.items():
+        series = det_series_factor((D, A), t_max)
+        for p, (row, a) in enumerate(zip(rows, A)):
+            c = Fraction(chi * count * (-a if p % 2 else a), len(Z) * D ** p)
             if c:
                 for d, x in enumerate(series):
                     if x:
@@ -246,19 +245,18 @@ def _reduced_actions(sector):
     # basis T (columns) each T^-1 A_h T is an integer matrix, and so is its
     # inverse; with A_h = N_h / d_h and T^-1 = V / e it is V N_h T / (e d_h)
     f = sector.fixed_dim
-    pairs = [integer_form(A) for A in sector.restricted_action]
-    m = lcm(*[d for d, _ in pairs])
+    m = lcm(*[d for d, _ in sector.restricted_action])
     columns = dict.fromkeys(tuple(x * (m // d) for x in col)
-                            for d, N in pairs for col in zip(*N))
+                            for d, N in sector.restricted_action for col in zip(*N))
     Q = [[0] * f for _ in range(f)]
-    for d, N in pairs:
+    for d, N in sector.restricted_action:
         s = (m // d) ** 2
         Q = [[q + s * x for q, x in zip(qrow, row)]
              for qrow, row in zip(Q, int_mat_mul(transpose(N), N))]
     T = transpose(_lll_reduce(_hermite_basis(columns, f), Q))
-    e, V = integer_form(mat_inv(T))
+    e, V = inverse_pair(T)
     out = []
-    for d, N in pairs:
+    for d, N in sector.restricted_action:
         M = int_mat_mul(int_mat_mul(V, N), T)
         q = e * d
         if any(x % q for row in M for x in row):
@@ -277,7 +275,7 @@ def _oracle_tables(sector):
     if sector._oracle is None:
         f = sector.fixed_dim
         actions = _reduced_actions(sector)
-        dual = [integer_form(mat_inv(A))[1] for A in actions]
+        dual = [inverse_pair(A)[1] for A in actions]
         sector._oracle = {
             "dual": dual,
             "sym": [[[{0: 1}] for _ in dual]],
@@ -370,13 +368,12 @@ def brute_force_invariants(sector, p, d, mode):
              else [1] * len(sector.class_ref.centralizer))
     P = [[0] * dim for _ in range(dim)]
     for chi, images, minors in zip(chars, _sym_images(tables, f, deg), tables[mode]):
-        w = int(chi)
         for a, image in enumerate(images):
             for i, targets in enumerate(minors[p]):
                 col = a * ns + i
                 for b, cb in image.items():
                     base = b * ns
-                    wc = w * cb
+                    wc = chi * cb
                     for j, mj in targets:
                         P[base + j][col] += wc * mj
     return mat_rank([row for row in dict.fromkeys(map(tuple, P)) if any(row)])

@@ -2,22 +2,22 @@
 
 For each conjugacy class [g], given as element indices of the group: the
 fixed subspace V^g = ker(g - I), the determinant character of the centralizer
-on the normal directions and the restricted centralizer action on V^g, both
-as tuples in centralizer order, and two bigraded Hilbert series that realize
-the derived fixed locus (Koszul side) and its shifted-tangent model.
+on the normal directions (ints +-1) and the restricted centralizer action on
+V^g ((d, N) pairs in lowest terms), both as tuples in centralizer order, and
+two bigraded Hilbert series that realize the derived fixed locus (Koszul
+side) and its shifted-tangent model.
 
 Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 (equivalently the Koszul exterior generators); that choice is what makes the
 two series below agree bidegree by bidegree.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .exact import (QZERO, QONE, InternalError, NotInvertible, int_mat_mul,
-                    integer_form, mat_det, mat_identity, mat_inv, mat_rank,
-                    mat_sub, nullspace_basis, rational_matrix, rref)
+                    integer_form, inverse_pair, lowest_terms, mat_det,
+                    mat_identity, mat_rank, mat_sub, nullspace_basis, rref)
 
 
 def monomials(nvars, degree):
@@ -36,6 +36,7 @@ def monomials(nvars, degree):
 class Sector:
     """One twisted sector: class data plus the linear geometry of V^g.
 
+    restricted_action holds (d, N) pairs, det_normal_char the ints +-1.
     _oracle holds the integer images that hkr.brute_force_invariants makes
     for this sector; they live and die with it, and nothing else reads them.
     """
@@ -78,9 +79,11 @@ def build_sector(G, cls, complement=None):
     h[comp][comp] - F[comp] F_P^-1 h[P][comp], and the lower-left block
     vanishes exactly when (h F)[comp] = F[comp] A_h.  Per element this is
     integer arithmetic on h = N / d = G.elements[h]: F = Phi / delta,
-    F_P^-1 = delta Psi / eps, with R = Phi[comp] Psi made once.  Raises
-    ValueError for a wrong number of complement columns and NotInvertible
-    when they are no complement.
+    F_P^-1 = delta Psi / eps, with R = Phi[comp] Psi made once.  A_h is the
+    pair (eps d, Psi (N Phi)[P]) in lowest terms, the same for every
+    complement, and the character det(eps d Q_h) / (eps d)^c must be +-1.
+    Raises ValueError for a wrong number of complement columns, NotInvertible
+    when they are no complement and InternalError when a guard fails.
     """
     d, N = G.elements[cls.representative]
     n = G.n
@@ -99,8 +102,8 @@ def build_sector(G, cls, complement=None):
     if len(P) != f:
         raise NotInvertible("complement columns repeat or lie outside 0..%d" % (n - 1))
     _, Phi = integer_form(tuple(tuple(v[i] for v in fixed) for i in range(n)))
-    # mat_inv raises NotInvertible when comp is no complement
-    eps, Psi = integer_form(mat_inv([Phi[i] for i in P]))
+    # inverse_pair raises NotInvertible when comp is no complement
+    eps, Psi = inverse_pair([Phi[i] for i in P])
     R = int_mat_mul([Phi[i] for i in comp], Psi)
     restricted, charv = [], []
     for h in cls.centralizer:
@@ -111,11 +114,16 @@ def build_sector(G, cls, complement=None):
             raise InternalError(
                 "centralizer element does not preserve the fixed subspace; "
                 "this is a bug, not bad input")
-        restricted.append(rational_matrix(eps * d, int_mat_mul(Psi, X)))
-        # eps d Q_h, integral, so mat_det gives its determinant as an integer
+        restricted.append(lowest_terms(eps * d, int_mat_mul(Psi, X)))
+        # eps d Q_h is integral and Q_h has finite order, so det Q_h = +-1
         Q = [[eps * N[i][j] - sum(R[a][k] * N[p][j] for k, p in enumerate(P))
               for j in comp] for a, i in enumerate(comp)]
-        charv.append(Fraction(mat_det(Q).numerator, (eps * d) ** c))
+        det, unit = mat_det(Q), (eps * d) ** c
+        if det not in (unit, -unit):
+            raise InternalError(
+                "the determinant of a centralizer element on the normal "
+                "directions is not +-1; this is a bug, not bad input")
+        charv.append(1 if det == unit else -1)
     return Sector(cls, n, tuple(fixed), c, tuple(charv), tuple(restricted))
 
 

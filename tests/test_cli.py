@@ -9,6 +9,7 @@ from orbifold_hkr import cli, hkr
 from orbifold_hkr.cli import (NonSquareMatrix, SchemaError, main, parse_jobspec,
                               render_json, render_table, run)
 from orbifold_hkr.exact import mat_det, mat_inv, mat_mul
+from orbifold_hkr.groups import OrderCapExceeded
 
 from conftest import B3, ZOO, m
 
@@ -251,6 +252,36 @@ def test_main_circle_n_over_cap_exit_3(tmp_path, capsys):
     doc = {"command": "circle", "n": 20, "cap": 400}
     assert _exit_and_err(tmp_path, capsys, doc)[0] == 0
     assert _exit_and_err(tmp_path, capsys, dict(doc, cap=399))[0] == 3
+
+
+def test_main_quotient_t_max_over_cap_exit_3(tmp_path, capsys, monkeypatch):
+    # each reported table has (t_max + 1) * (n + 1) cells; [[-1]] at t_max
+    # 100000 used to take 6.7 s and 387 MB, with nothing bounding it
+    doc = {"command": "quotient", "generators": [[[-1]]], "t_max": 50000}
+    code, out, err = _exit_and_err(tmp_path, capsys, doc)
+    assert code == 3 and out == ""
+    assert err == ("cap exceeded: t_max = 50000 on A^1 gives 100002 cells per "
+                   "table, over cap 100000\n")
+    # the bound is inclusive
+    small = {"command": "quotient", "generators": [[[-1]]], "t_max": 4, "cap": 10}
+    assert _exit_and_err(tmp_path, capsys, small)[0] == 0
+    code, out, err = _exit_and_err(tmp_path, capsys, dict(small, cap=9))
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: t_max = 4 on A^1 gives 10 cells per table, over cap 9\n"
+    # within the bound, a group over the cap is still refused by the closure
+    klein = {"command": "quotient", "generators": [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]],
+             "t_max": 0, "cap": 3}
+    assert _exit_and_err(tmp_path, capsys, klein)[2] == \
+        "cap exceeded: group order exceeds cap 3\n"
+
+    # at the default cap's bound the job gets past it to the closure, which
+    # is stubbed so that the full 100000-cell tables are not computed
+    def closure_reached(generators, cap):
+        raise OrderCapExceeded("closure reached")
+
+    monkeypatch.setattr(cli, "generate", closure_reached)
+    code, out, err = _exit_and_err(tmp_path, capsys, dict(doc, t_max=49999))
+    assert (code, out, err) == (3, "", "cap exceeded: closure reached\n")
 
 
 def test_main_oracle_work_over_guard_exit_3(tmp_path, capsys, monkeypatch):

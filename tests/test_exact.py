@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbifold_hkr.exact import (BadRational, BiSeries, NotInvertible, QONE,
-                                det_series_factor,
-                                elementary_symmetric, linear_solve, mat_det,
-                                mat_identity, mat_inv, mat_mul, mat_rank,
-                                nullspace_basis, parse_rational,
+from orbifold_hkr.exact import (BadRational, BiSeries, NotInvertible,
+                                det_series_factor, elementary_symmetric,
+                                integer_form, linear_solve, lowest_terms,
+                                mat_det, mat_identity, mat_inv, mat_mul,
+                                mat_rank, nullspace_basis, parse_rational,
                                 rational_matrix, rref, smith_normal_form)
 from orbifold_hkr.groups import conjugacy_classes
 from orbifold_hkr.sectors import build_sector
@@ -42,17 +42,25 @@ def test_parse_format_round_trip(q):
 # truncated determinant series -------------------------------------------------
 
 def test_reciprocal_geometric_series():
-    s = det_series_factor(elementary_symmetric(((QONE,),)), 3)
+    s = det_series_factor(elementary_symmetric((1, ((1,),))), 3)
     assert s == (F(1), F(1), F(1), F(1))
 
 
 def test_reciprocal_identity_2x2():
-    s = det_series_factor(elementary_symmetric(mat_identity(2)), 2)
+    s = det_series_factor(elementary_symmetric(integer_form(mat_identity(2))), 2)
     assert s == (F(1), F(2), F(3))
 
 
+def _from_key(key):
+    # e_0, ..., e_n as Fractions from the key (D, A): e_k = (-1)^k A_k / D^k
+    D, A = key
+    return tuple(F(-a if k % 2 else a, D ** k) for k, a in enumerate(A))
+
+
 def test_elementary_symmetric_identity():
-    assert elementary_symmetric(mat_identity(2)) == (F(1), F(2), F(1))
+    # det(I - tI) = (1 - t)^2, so e = (1, 2, 1)
+    assert elementary_symmetric(integer_form(mat_identity(2))) == (1, (1, -2, 1))
+    assert _from_key((1, (1, -2, 1))) == (F(1), F(2), F(1))
 
 
 def _fraction_elementary_symmetric(M):
@@ -83,11 +91,19 @@ def test_elementary_symmetric_matches_fraction_recursion(zoo_groups):
               for n in range(1, 7) for _ in range(30)]
     for G in zoo_groups.values():
         for cls in conjugacy_classes(G):
-            cases.extend(build_sector(G, cls).restricted_action)
+            cases.extend(rational_matrix(*A) for A in build_sector(G, cls).restricted_action)
     for M in cases:
-        got = elementary_symmetric(M)
-        assert got == _fraction_elementary_symmetric(M)
-        assert all(type(x) is Fraction for x in got)
+        d, N = integer_form(M)
+        got = elementary_symmetric((d, N))
+        assert _from_key(got) == _fraction_elementary_symmetric(M)
+        D, A = got
+        assert type(D) is int and all(type(x) is int for x in A)
+        # D is the least denominator that clears every coefficient, and a
+        # pair not in lowest terms has the same key
+        assert not any(all(F(a * E ** k, D ** k).denominator == 1
+                           for k, a in enumerate(A)) for E in range(1, D))
+        assert elementary_symmetric((2 * d, tuple(tuple(2 * x for x in row)
+                                                  for row in N))) == got
 
 
 def _padded_reciprocal(M, t_max):
@@ -95,7 +111,7 @@ def _padded_reciprocal(M, t_max):
     # coefficients padded with zeros up to t_max, inverted by the Fraction
     # recursion over all of them
     n = len(M)
-    e = elementary_symmetric(M)
+    e = _fraction_elementary_symmetric(M)
     a = [(e[k] if k % 2 == 0 else -e[k]) if k <= n else F(0) for k in range(t_max + 1)]
     b = [F(0)] * (t_max + 1)
     b[0] = 1 / a[0]
@@ -117,25 +133,38 @@ def test_reciprocal_matches_padded_recursion(zoo_groups):
     cases += [[[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
                for _ in range(n)] for n in range(1, 5) for _ in range(3)]
     for M in cases:
-        got = det_series_factor(elementary_symmetric(M), 300)
+        got = det_series_factor(elementary_symmetric(integer_form(M)), 300)
         assert got == _padded_reciprocal(M, 300)
         assert all(type(x) is Fraction for x in got)
     # the long one: order 2 at t_max 2000
-    got = det_series_factor(elementary_symmetric(m([[-1]])), 2000)
+    got = det_series_factor(elementary_symmetric((1, ((-1,),))), 2000)
     assert got == _padded_reciprocal(m([[-1]]), 2000)
 
 
 def test_reciprocal_times_polynomial_is_one(zoo_groups):
     # det(I - tM)^{-1} * det(I - tM) == 1 for finite-order M
     for G in zoo_groups.values():
-        for g in [rational_matrix(*e) for e in G.elements[:6]]:
-            e = elementary_symmetric(g)
-            rec = det_series_factor(e, 6)
-            poly = [-x if k % 2 else x for k, x in enumerate(e)]
+        for g in G.elements[:6]:
+            D, A = key = elementary_symmetric(g)
+            rec = det_series_factor(key, 6)
+            poly = [F(a, D ** k) for k, a in enumerate(A)]
             prod = tuple(sum((poly[k] * rec[d - k]
                               for k in range(min(d, len(poly) - 1) + 1)), F(0))
                          for d in range(7))
             assert prod == (F(1),) + (F(0),) * 6
+
+
+def test_lowest_terms_matches_integer_form():
+    rng = random.Random(20261021)
+    assert lowest_terms(1, ((2, 4),)) == (1, ((2, 4),))
+    assert lowest_terms(4, ((2, 0), (0, 2))) == (2, ((1, 0), (0, 1)))
+    assert lowest_terms(6, ()) == (1, ())
+    for n in range(1, 4):
+        for _ in range(20):
+            d = rng.randint(1, 12)
+            N = tuple(tuple(rng.randint(-6, 6) * rng.choice((1, 2, 3))
+                            for _ in range(n)) for _ in range(n))
+            assert lowest_terms(d, N) == integer_form(rational_matrix(d, N))
 
 
 # smith normal form ------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations
 from math import comb, gcd, prod
 from types import FunctionType
@@ -7,8 +8,8 @@ import pytest
 
 from orbifold_hkr import exact, hkr
 from orbifold_hkr.exact import (BiSeries, det_series_factor,
-                                elementary_symmetric, mat_det, mat_inv, mat_mul,
-                                transpose)
+                                elementary_symmetric, integer_form, mat_det,
+                                mat_inv, mat_mul, rational_matrix, transpose)
 from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
                               oracle_verdict, sector_hh_series,
@@ -249,15 +250,22 @@ def test_oracle_verdict_smoke():
     assert oracle_verdict(G, 4) is None
 
 
+def _key_and_e(A):
+    # the key of the Fraction matrix A and its e_k = (-1)^k A_k / D^k
+    D, coeffs = key = elementary_symmetric(integer_form(A))
+    return key, [F(-a if k % 2 else a, D ** k) for k, a in enumerate(coeffs)]
+
+
 def _per_element_hh(sec, t_max):
     # one term per centralizer element, with the dual action D = A^-1: the
     # product of det(I + u t D) = sum e_p(D) u^p t^p with 1 / det(I - t D)
     Z = sec.class_ref.centralizer
     assert len(sec.restricted_action) == len(Z)
     rows = [[F(0)] * (t_max + 1) for _ in range(sec.fixed_dim + 1)]
-    for A in sec.restricted_action:
-        e = elementary_symmetric(mat_inv(A) if sec.fixed_dim else ())
-        series = det_series_factor(e, t_max)
+    for pair in sec.restricted_action:
+        A = rational_matrix(*pair)
+        key, e = _key_and_e(mat_inv(A) if sec.fixed_dim else ())
+        series = det_series_factor(key, t_max)
         for p, ep in enumerate(e):
             for d in range(p, t_max + 1):
                 rows[p][d] += ep * series[d - p] / len(Z)
@@ -270,10 +278,11 @@ def _per_element_hhcoh(sec, t_max):
     Z = sec.class_ref.centralizer
     assert len(sec.restricted_action) == len(sec.det_normal_char) == len(Z)
     rows = [[F(0)] * (t_max + 1) for _ in range(sec.n + 1)]
-    for A, chi in zip(sec.restricted_action, sec.det_normal_char):
+    for pair, chi in zip(sec.restricted_action, sec.det_normal_char):
+        A = rational_matrix(*pair)
         series = det_series_factor(
-            elementary_symmetric(mat_inv(A) if sec.fixed_dim else ()), t_max)
-        for p, ep in enumerate(elementary_symmetric(A)):
+            _key_and_e(mat_inv(A) if sec.fixed_dim else ())[0], t_max)
+        for p, ep in enumerate(_key_and_e(A)[1]):
             for d in range(t_max + 1):
                 rows[p + sec.c_g][d] += chi * ep * series[d] / len(Z)
     return BiSeries(sec.n, t_max, rows)
@@ -352,7 +361,8 @@ def _reference_oracle(sector, p, d, mode):
     Z = sector.class_ref.centralizer
     assert len(sector.restricted_action) == len(sector.det_normal_char) == len(Z)
     P = [[F(0)] * dim for _ in range(dim)]
-    for A, chi in zip(sector.restricted_action, sector.det_normal_char):
+    for pair, chi in zip(sector.restricted_action, sector.det_normal_char):
+        A = rational_matrix(*pair)
         B = [row[f:] for row in fraction_gauss_jordan(
             [list(a) + [F(int(i == j)) for j in range(f)]
              for i, a in enumerate(A)])[0]]
@@ -408,13 +418,38 @@ def _adjacent_transpositions(n):
 DET8 = m([[2, 0, 0, 2], [-2, 1, -1, -2], [-1, -2, 0, 1], [-1, 1, 2, -2]])
 
 
+@pytest.mark.parametrize("gens, P", [(B3, B3_BASIS), (_adjacent_transpositions(4), DET8)],
+                         ids=["B3", "S4"])
+def test_molien_keys_and_sector_pairs_do_not_depend_on_the_basis(gens, P):
+    # conjugate elements have one characteristic polynomial, and the key
+    # takes the least denominator D, so the multiset of keys over the group
+    # does not change with the basis; with D the element's own denominator
+    # the conjugate's keys would differ
+    plain = generate(gens, 1000)
+    conj = generate(tuple(mat_mul(mat_mul(P, g), mat_inv(P)) for g in gens), 1000)
+    keys = Counter(map(elementary_symmetric, plain.elements))
+    assert any(d > 1 for d, _ in conj.elements)
+    assert Counter(map(elementary_symmetric, conj.elements)) == keys
+    # finite order makes the characteristic polynomial integral
+    assert {D for D, _ in keys} == {1}
+    assert all(type(x) is int for _, A in keys for x in A)
+    # every restricted action is a (d, N) pair in lowest terms and every
+    # character is the int 1 or -1
+    for G in (plain, conj):
+        for sec in _sectors(G):
+            for d, N in sec.restricted_action:
+                assert d > 0 and gcd(d, *[x for row in N for x in row]) == 1
+            assert set(sec.det_normal_char) <= {1, -1}
+            assert all(type(x) is int for x in sec.det_normal_char)
+
+
 def test_oracle_in_a_basis_with_denominators_matches_the_permutation_basis():
     S4 = _adjacent_transpositions(4)
     plain = _sectors(generate(S4, 1000))
     conj = _sectors(generate(tuple(mat_mul(mat_mul(DET8, g), mat_inv(DET8))
                                    for g in S4), 1000))
     assert {x.denominator for s in conj for A in s.restricted_action
-            for row in A for x in row} == {1, 2, 4, 5}
+            for row in rational_matrix(*A) for x in row} == {1, 2, 4, 5}
     for a, b in zip(plain, conj):
         assert (len(a.class_ref.members), a.fixed_dim) == (len(b.class_ref.members),
                                                            b.fixed_dim)

@@ -68,7 +68,7 @@ def test_transposition_sector_of_s3():
     at = _position(G, sec, swap)
     assert sec.det_normal_char[at] == F(-1)
     # g acts as the identity on its own fixed subspace
-    assert sec.restricted_action[at] == mat_identity(2)
+    assert sec.restricted_action[at] == integer_form(mat_identity(2))
 
 
 def test_fixed_basis_is_correct(zoo_groups):
@@ -132,7 +132,9 @@ def _conjugation_blocks(G, cls, comp):
     for h in cls.centralizer:
         M = mat_mul(mat_mul(Binv, rational_matrix(*G.elements[h])), B)
         assert not any(M[i][j] for i in range(f, n) for j in range(f))
-        restricted.append(tuple(tuple(M[i][j] for j in range(f)) for i in range(f)))
+        # build_sector keeps the pair (d, N) in lowest terms, integer_form's
+        restricted.append(integer_form(tuple(tuple(M[i][j] for j in range(f))
+                                             for i in range(f))))
         charv.append(mat_det(tuple(tuple(M[i][j] for j in range(f, n))
                                    for i in range(f, n))))
     return tuple(restricted), tuple(charv)
@@ -228,3 +230,13 @@ def test_derived_equals_shifted_across_zoo(zoo_groups):
             want = shifted_tangent_hilbert(sec, 6)
             for g in cls.members:
                 assert derived_fixed_hilbert(rational_matrix(*G.elements[g]), 6) == want
+
+
+def test_normal_character_guard_is_an_internal_error(monkeypatch):
+    G = generate(S3_PERM, 100)
+    cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    # det(eps d Q_h) off by one is no longer +-(eps d)^c, so no character +-1
+    real = sectors.mat_det
+    monkeypatch.setattr(sectors, "mat_det", lambda A: real(A) + 1)
+    with pytest.raises(InternalError, match="normal directions is not"):
+        build_sector(G, cls)
