@@ -11,6 +11,7 @@ line "internal error: ..." on stderr, no report).
 import argparse
 import json
 import sys
+from math import lcm
 
 from . import __version__
 from .circle import (central_complex, cover_homology, fiber_dimension,
@@ -209,7 +210,7 @@ def _quotient_report(job):
         "version": __version__,
         "input": _echo(job),
         "group_order": G.order,
-        "group_exponent": G.exponent,
+        "group_exponent": lcm(*(sec.class_ref.order for sec, _ in hom.sectors)),
         "sectors": sectors,
         "HH": _series_table(hom.total),
         "HHcoh": _series_table(coh.total),

@@ -3,12 +3,13 @@
 An element is its index in closure order, and the matrix behind index i is
 the integer pair elements[i] = (d, N) of exact.integer_form, M = N / d.
 The breadth-first closure is the only place that multiplies those pairs; it
-keeps index permutation tables and each element's BFS parent, from which
-conjugacy classes, centralizers and the exponent are computed on indices.
+keeps each generator's right-multiplication table and each element's BFS
+parent.  Every other product is an index lookup: an element's
+left-multiplication table is read off the closure tree, and conjugacy
+classes, centralizers and element orders come from such tables.
 """
 
 from collections import namedtuple
-from math import lcm
 
 from .exact import int_mat_mul, integer_form, inverse_pair, lowest_terms, mat_identity
 
@@ -111,27 +112,18 @@ class MatrixGroup:
         self.order = len(elements)
         self.right = right
         self.parents = parents
-        self.exponent = 1
-        for i in range(1, self.order):
-            x, k = i, 1
-            while x:
-                x = self.mul(x, i)
-                k += 1
-            self.exponent = lcm(self.exponent, k)
 
-    def mul(self, i, j):
-        """Index of elements[i] * elements[j]: j's word in the generators,
-        read back along its BFS parents, walked from i."""
-        word = []
-        while j:
-            j, k = self.parents[j]
-            word.append(k)
-        for k in reversed(word):
-            i = self.right[k][i]
-        return i
+    def left(self, u):
+        """Left-multiplication table of u: left(u)[x] is the index of
+        elements[u] * elements[x].  In closure order, u x = (u p) s for
+        x = p s in the BFS tree, so the table costs |G| lookups."""
+        table = [u]
+        for p, k in self.parents[1:]:
+            table.append(self.right[k][table[p]])
+        return table
 
     def __repr__(self):
-        return "MatrixGroup(n=%d, order=%d, exponent=%d)" % (self.n, self.order, self.exponent)
+        return "MatrixGroup(n=%d, order=%d)" % (self.n, self.order)
 
 
 def generate(generators, cap=DEFAULT_CAP):
@@ -173,34 +165,38 @@ def generate(generators, cap=DEFAULT_CAP):
 
 
 # one conjugacy class as element indices: the representative (its first
-# member), the sorted members and the sorted centralizer
-ConjClass = namedtuple("ConjClass", ["representative", "members", "centralizer"])
+# member), the sorted members, the sorted centralizer, and the order of its
+# elements
+ConjClass = namedtuple("ConjClass", "representative members centralizer order")
 
 
 def conjugacy_classes(G):
     """Partition of G into conjugacy classes, ordered by representative index.
 
-    Works on element indices and returns them.  A class is the orbit of its
-    representative (its first member) under x -> s^-1 x s for the generators
-    s, read off s's right-multiplication table; the centralizer is every h
-    with h g = g h as index products.  Both are sorted by index;
-    |class| * |centralizer| = |G|.
+    Works on element indices and returns them, with no matrix arithmetic.
+    For a generator s, conjugation x -> s^-1 x s is the right table of s
+    followed by the left table of s^-1.  If h = p s in the BFS tree then
+    h^-1 g h = s^-1 (p^-1 g p) s, so one pass in closure order gives
+    c[h] = h^-1 g h for every h: the class is the set of the c[h], sorted by
+    index, and the centralizer the h with c[h] = g, so |class| * |centralizer|
+    = |G|.  The order of g is read off its left table.
     """
-    N = G.order
-    # table[x] is x s, and table.index(0) is s^-1
-    conjugations = [[G.mul(table.index(0), y) for y in table] for table in G.right]
-    assigned = [False] * N
-    classes = []
-    for g in range(N):
-        if assigned[g]:
+    conjugations = []
+    for table in G.right:  # table[x] is x s, and table.index(0) is s^-1
+        inverse = G.left(table.index(0))
+        conjugations.append([inverse[y] for y in table])
+    steps = [(p, conjugations[k]) for p, k in G.parents[1:]]
+    classes, seen = [], set()
+    for g in range(G.order):
+        if g in seen:
             continue
-        assigned[g] = True
-        orbit = [g]
-        for x in orbit:
-            for conj in conjugations:
-                if not assigned[conj[x]]:
-                    assigned[conj[x]] = True
-                    orbit.append(conj[x])
-        centralizer = tuple(h for h in range(N) if G.mul(h, g) == G.mul(g, h))
-        classes.append(ConjClass(g, tuple(sorted(orbit)), centralizer))
+        c = [g]
+        for p, conj in steps:
+            c.append(conj[c[p]])
+        seen.update(c)
+        power, order, x = G.left(g), 1, g
+        while x:
+            x, order = power[x], order + 1
+        classes.append(ConjClass(g, tuple(sorted(set(c))),
+                                 tuple(h for h, y in enumerate(c) if y == g), order))
     return classes

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -412,3 +416,21 @@ def test_report_is_invariant_under_permuting_the_generators():
         want = _order_invariants(gens)
         for perm in permutations(range(len(gens))):
             assert _order_invariants(tuple(gens[i] for i in perm)) == want
+
+
+# dependencies ----------------------------------------------------------------------
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter without site-packages, so nothing installed can
+    # stand in for a module the package forgot it needs
+    code = ("import sys; before = set(sys.modules); import orbifold_hkr.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "orbifold_hkr.cli" in loaded
+    assert [name for name in loaded
+            if name.partition(".")[0] not in sys.stdlib_module_names
+            and name.partition(".")[0] != "orbifold_hkr"] == []

@@ -19,10 +19,16 @@ def _matrices(G):
     return [rational_matrix(*e) for e in G.elements]
 
 
+def _exponent(G):
+    # element order is a class function, so the exponent is the lcm of the
+    # class orders, as the quotient report computes it
+    return lcm(*(c.order for c in conjugacy_classes(G)))
+
+
 def test_generate_sign_group():
     G = generate(SIGN_1D, 100)
     assert G.order == 2
-    assert G.exponent == 2
+    assert _exponent(G) == 2
     elements = set(_matrices(G))
     assert m([[1]]) in elements
     assert m([[-1]]) in elements
@@ -33,7 +39,7 @@ def test_generate_s3_from_transpositions():
     swap23 = m([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     G = generate((swap12, swap23), 100)
     assert G.order == 6
-    assert G.exponent == 6
+    assert _exponent(G) == 6
 
 
 def test_shear_has_infinite_order():
@@ -49,6 +55,7 @@ def test_infinite_order_is_told_apart_from_the_cap():
     # order 6 under a cap of 5 is the cap's doing
     with pytest.raises(OrderCapExceeded, match="exceeds cap 5"):
         element_order(m([[1, -1], [1, 0]]), 5)
+    assert element_order(m([[1, -1], [1, 0]]), 6) == 6
 
 
 def test_max_finite_order_matches_brute_force():
@@ -86,9 +93,13 @@ def test_singular_generator_rejected():
 
 
 def test_cap_exceeded():
-    # generator orders (4 and 2) stay under the cap, the closure does not
+    # generator orders (4 and 2) stay under the cap, the closure does not;
+    # D4 has 8 elements, so a cap of 8 holds it and a cap of 7 does not
     with pytest.raises(CapExceeded):
         generate(D4, 5)
+    with pytest.raises(CapExceeded, match="exceeds cap 7"):
+        generate(D4, 7)
+    assert generate(D4, 8).order == 8
 
 
 def test_infinite_group_of_finite_order_generators_stops_at_minkowski():
@@ -96,6 +107,8 @@ def test_infinite_group_of_finite_order_generators_stops_at_minkowski():
     gens = (m([[-1, 0], [0, 1]]), m([[-1, 1], [0, 1]]))
     with pytest.raises(CapExceeded, match="infinite"):
         generate(gens)
+    # {1, -1} is as large as a finite subgroup of GL_1(Q) can be
+    assert generate(SIGN_1D).order == minkowski_bound(1) == 2
 
 
 def test_hyperoctahedral_orders_divide_minkowski():
@@ -141,9 +154,9 @@ def test_classes_of_cyclic4_all_singletons():
 
 
 def test_exponent_examples():
-    assert generate(SIGN_1D, 10).exponent == 2
-    assert generate(S3_PERM, 10).exponent == 6
-    assert generate((m([[1, 0], [0, 1]]),), 10).exponent == 1
+    assert _exponent(generate(SIGN_1D, 10)) == 2
+    assert _exponent(generate(S3_PERM, 10)) == 6
+    assert _exponent(generate((m([[1, 0], [0, 1]]),), 10)) == 1
 
 
 def test_element_order_values():
@@ -183,11 +196,12 @@ def test_conjugation_stays_in_class(zoo_groups):
 def test_orders_divide_exponent_and_group_order(zoo_groups):
     for G in zoo_groups.values():
         orders = [element_order(g, 10000) for g in _matrices(G)]
-        assert lcm(*orders) == G.exponent
+        exponent = _exponent(G)
+        assert lcm(*orders) == exponent
         for o in orders:
-            assert G.exponent % o == 0
+            assert exponent % o == 0
             assert G.order % o == 0
-        assert G.order % G.exponent == 0
+        assert G.order % exponent == 0
 
 
 def test_closure_under_product_and_inverse(zoo_groups):
@@ -218,7 +232,8 @@ def test_index_classes_match_matrix_arithmetic(P):
         assert c.members[0] == c.representative
         assert c.centralizer == tuple(i for i, h in enumerate(mats)
                                       if mat_mul(h, g) == mat_mul(g, h))
-    assert G.exponent == lcm(*(element_order(g) for g in mats))
+        assert c.order == element_order(g)
+    assert _exponent(G) == lcm(*(element_order(g) for g in mats))
 
 
 def _swap(n, k):
@@ -286,3 +301,50 @@ def test_closure_matches_fraction_closure(name):
                for d, N in G.elements for row in N for x in row)
     assert [element_order(g) for g in elements] == [_fraction_order(g)
                                                     for g in elements]
+
+
+@pytest.mark.parametrize("name", list(_CLOSURE_CASES))
+def test_left_tables_match_matrix_products(name):
+    G = generate(_CLOSURE_CASES[name])
+    mats = _matrices(G)
+    index = {M: i for i, M in enumerate(mats)}
+    for u, Mu in enumerate(mats):
+        assert G.left(u) == [index[mat_mul(Mu, Mx)] for Mx in mats]
+
+
+@pytest.mark.parametrize("name", list(_CLOSURE_CASES))
+def test_class_orders_match_element_order(name):
+    G = generate(_CLOSURE_CASES[name])
+    mats = _matrices(G)
+    for c in conjugacy_classes(G):
+        assert c.order == element_order(mats[c.representative])
+
+
+def _bipartitions(n):
+    # pairs of partitions of sizes a + b = n: the classes of the
+    # hyperoctahedral group B_n
+    def partitions(k, largest):
+        if k == 0:
+            return 1
+        return sum(partitions(k - j, j) for j in range(1, min(k, largest) + 1))
+    return sum(partitions(a, a) * partitions(n - a, n - a) for a in range(n + 1))
+
+
+def test_classes_of_b5_on_a_deep_closure_tree():
+    # B5 on A^5 by adjacent transpositions and the sign change of x_1: 3840
+    # elements, whose BFS words run up to the length of the longest element
+    gens = []
+    for i in range(4):
+        perm = list(range(5))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        gens.append(m([[int(perm[j] == r) for j in range(5)] for r in range(5)]))
+    gens.append(m([[-1 if r == j == 0 else int(r == j) for j in range(5)]
+                   for r in range(5)]))
+    G = generate(gens)
+    assert G.order == 2 ** 5 * factorial(5)
+    classes = conjugacy_classes(G)
+    assert len(classes) == _bipartitions(5) == 36
+    assert sum(len(c.members) for c in classes) == G.order
+    for c in classes:
+        assert len(c.members) * len(c.centralizer) == G.order
+        assert c.order == element_order(rational_matrix(*G.elements[c.representative]))
