@@ -6,8 +6,10 @@ Two independent routes to the same numbers:
     the t-series 1/det(I - t A_h), A_h its action on V^g, placed at t^p for
     homology and with no t-power for cohomology.  Each table comes from one
     set of rows, the average of e_p(A_h) / det(I - t A_h) over the
-    centralizer: elementary_symmetric keys each (d, N) pair A_h by integers,
-    and det_series_factor runs once per distinct (key, character) pair.
+    centralizer, read from the sector's weighted terms: one per G-class,
+    weighted by its size, when g is central, else one per element.
+    elementary_symmetric keys each term's (d, N) pair A_h by integers, and
+    det_series_factor runs once per distinct (key, character) pair.
   * A brute-force oracle: explicit representation matrices on a monomial and
     exterior basis, then the rank of the averaging projector.  Each sector's
     centralizer first acts in a reduced basis of its invariant lattice
@@ -92,15 +94,17 @@ def _molien_average(sector, t_max, twisted):
     # rows p = 0..f of the centralizer average of chi_h e_p(A_h) / det(I - t A_h),
     # A_h the action on V^g and chi_h the det-of-normal character when twisted
     # (else 1); a term depends only on (key (D, A) of A_h, chi_h), so each one
-    # is expanded once, weighted by its count, with e_p = (-1)^p A_p / D^p
-    Z = sector.class_ref.centralizer
-    chars = sector.det_normal_char if twisted else [1] * len(Z)
-    keys = Counter(zip(map(elementary_symmetric, sector.restricted_action), chars))
+    # is expanded once, weighted by the summed weights of the sector's terms
+    # (class sizes for a central g), with e_p = (-1)^p A_p / D^p
+    keys = Counter()
+    for pair, chi, weight in sector.terms:
+        keys[elementary_symmetric(pair), chi if twisted else 1] += weight
+    order = len(sector.class_ref.centralizer)
     rows = [[QZERO] * (t_max + 1) for _ in range(sector.fixed_dim + 1)]
     for ((D, A), chi), count in keys.items():
         series = det_series_factor((D, A), t_max)
         for p, (row, a) in enumerate(zip(rows, A)):
-            c = Fraction(chi * count * (-a if p % 2 else a), len(Z) * D ** p)
+            c = Fraction(chi * count * (-a if p % 2 else a), order * D ** p)
             if c:
                 for d, x in enumerate(series):
                     if x:
@@ -386,8 +390,9 @@ def full_report(G, t_max, mode="homology"):
     series = sector_hh_series if mode == "homology" else sector_hhcoh_series
     pairs = []
     total = BiSeries.zero(G.n, t_max)
-    for cls in conjugacy_classes(G):
-        sec = build_sector(G, cls)
+    classes = conjugacy_classes(G)
+    for cls in classes:
+        sec = build_sector(G, cls, classes)
         s = series(sec, t_max)
         pairs.append((sec, s))
         total = total + s
@@ -410,7 +415,8 @@ def oracle_verdict(G, t_max):
     ORACLE_GUARD or a total over ORACLE_WORK raises BasisTooLarge.
     Returns None on full agreement, else a dict locating the first mismatch.
     """
-    sectors = [build_sector(G, cls) for cls in conjugacy_classes(G)]
+    classes = conjugacy_classes(G)
+    sectors = [build_sector(G, cls, classes) for cls in classes]
     work = _oracle_work(sectors, t_max)
     if max(work) > ORACLE_GUARD or sum(work) > ORACLE_WORK:
         raise BasisTooLarge("oracle work estimate %d (largest cell %d) is over the "

@@ -3,9 +3,11 @@
 For each conjugacy class [g], given as element indices of the group: the
 fixed subspace V^g = ker(g - I), the determinant character of the centralizer
 on the normal directions (ints +-1) and the restricted centralizer action on
-V^g ((d, N) pairs in lowest terms), both as tuples in centralizer order, and
-two bigraded Hilbert series that realize the derived fixed locus (Koszul
-side) and its shifted-tangent model.
+V^g ((d, N) pairs in lowest terms), and two bigraded Hilbert series that
+realize the derived fixed locus (Koszul side) and its shifted-tangent model.
+The Molien route reads the action and the character as weighted terms: for a
+central g, V^g is G-stable and both are class functions of G, so there is one
+term per G-class, weighted by its size; otherwise one per centralizer element.
 
 Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 (equivalently the Koszul exterior generators); that choice is what makes the
@@ -36,23 +38,43 @@ def monomials(nvars, degree):
 class Sector:
     """One twisted sector: class data plus the linear geometry of V^g.
 
-    restricted_action holds (d, N) pairs, det_normal_char the ints +-1.
+    terms holds the Molien route's (A_h, chi_h, weight) triples, A_h a
+    (d, N) pair and chi_h the int +-1: for a central class one per G-class
+    representative h, weighted by the class size, else one per centralizer
+    element, weighted 1.  restricted_action and det_normal_char are the
+    per-element tuples in centralizer order, made on first read from the
+    element routine of build_sector, which computes no element twice.
     _oracle holds the integer images that hkr.brute_force_invariants makes
     for this sector; they live and die with it, and nothing else reads them.
     """
 
-    __slots__ = ("class_ref", "n", "fixed_basis", "c_g", "det_normal_char",
-                 "restricted_action", "_oracle")
+    __slots__ = ("class_ref", "n", "fixed_basis", "c_g", "terms", "_element",
+                 "_per_element", "_oracle")
 
-    def __init__(self, class_ref, n, fixed_basis, c_g, det_normal_char,
-                 restricted_action):
+    def __init__(self, class_ref, n, fixed_basis, c_g, terms, element):
         self.class_ref = class_ref
         self.n = n
         self.fixed_basis = fixed_basis
         self.c_g = c_g
-        self.det_normal_char = det_normal_char
-        self.restricted_action = restricted_action
+        self.terms = terms
+        self._element = element
+        self._per_element = None
         self._oracle = None
+
+    def _tuples(self):
+        if self._per_element is None:
+            data = map(self._element, self.class_ref.centralizer)
+            self._per_element = tuple(zip(*data))
+            self._element = None
+        return self._per_element
+
+    @property
+    def restricted_action(self):
+        return self._tuples()[0]
+
+    @property
+    def det_normal_char(self):
+        return self._tuples()[1]
 
     @property
     def fixed_dim(self):
@@ -63,7 +85,7 @@ class Sector:
             self.fixed_dim, self.c_g, len(self.class_ref.members))
 
 
-def build_sector(G, cls, complement=None):
+def build_sector(G, cls, classes, complement=None):
     """Assemble the Sector of a conjugacy class of element indices.
 
     V^g is the nullspace of N - d I, (d, N) = G.elements[g] for the
@@ -82,6 +104,11 @@ def build_sector(G, cls, complement=None):
     F_P^-1 = delta Psi / eps, with R = Phi[comp] Psi made once.  A_h is the
     pair (eps d, Psi (N Phi)[P]) in lowest terms, the same for every
     complement, and the character det(eps d Q_h) / (eps d)^c must be +-1.
+
+    classes, the conjugacy classes of G, lets a central class (one member)
+    take one term per G-class: every generator must preserve V^g, so all of
+    G does, and then A_h and chi_h are class functions of G.  Any other class
+    takes one term per centralizer element.
     Raises ValueError for a wrong number of complement columns, NotInvertible
     when they are no complement and InternalError when a guard fails.
     """
@@ -105,8 +132,12 @@ def build_sector(G, cls, complement=None):
     # inverse_pair raises NotInvertible when comp is no complement
     eps, Psi = inverse_pair([Phi[i] for i in P])
     R = int_mat_mul([Phi[i] for i in comp], Psi)
-    restricted, charv = [], []
-    for h in cls.centralizer:
+    known = {}
+
+    def element(h):
+        # (A_h, chi_h) of element h, both guards checked, computed once per h
+        if h in known:
+            return known[h]
         d, N = G.elements[h]
         NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
         X = [NPhi[i] for i in P]
@@ -114,7 +145,6 @@ def build_sector(G, cls, complement=None):
             raise InternalError(
                 "centralizer element does not preserve the fixed subspace; "
                 "this is a bug, not bad input")
-        restricted.append(lowest_terms(eps * d, int_mat_mul(Psi, X)))
         # eps d Q_h is integral and Q_h has finite order, so det Q_h = +-1
         Q = [[eps * N[i][j] - sum(R[a][k] * N[p][j] for k, p in enumerate(P))
               for j in comp] for a, i in enumerate(comp)]
@@ -123,8 +153,18 @@ def build_sector(G, cls, complement=None):
             raise InternalError(
                 "the determinant of a centralizer element on the normal "
                 "directions is not +-1; this is a bug, not bad input")
-        charv.append(1 if det == unit else -1)
-    return Sector(cls, n, tuple(fixed), c, tuple(charv), tuple(restricted))
+        known[h] = out = (lowest_terms(eps * d, int_mat_mul(Psi, X)),
+                          1 if det == unit else -1)
+        return out
+
+    if len(cls.members) == 1:
+        for table in G.right:  # table[0] is the generator itself
+            element(table[0])
+        weighted = [(k.representative, len(k.members)) for k in classes]
+    else:
+        weighted = [(h, 1) for h in cls.centralizer]
+    terms = tuple(element(h) + (w,) for h, w in weighted)
+    return Sector(cls, n, tuple(fixed), c, terms, element)
 
 
 class KoszulReport:

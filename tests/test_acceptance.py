@@ -65,8 +65,9 @@ def test_02_weighted_counting_identity():
 def test_03_homology_molien_matches_oracle(sweep_groups):
     start = time.monotonic()
     for G in sweep_groups.values():
-        for cls in conjugacy_classes(G):
-            sec = build_sector(G, cls)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            sec = build_sector(G, cls, classes)
             series = sector_hh_series(sec, 6)
             for p in range(sec.fixed_dim + 1):
                 for d in range(7):
@@ -77,8 +78,9 @@ def test_03_homology_molien_matches_oracle(sweep_groups):
 
 def test_04_cohomology_molien_matches_twisted_oracle(sweep_groups):
     for G in sweep_groups.values():
-        for cls in conjugacy_classes(G):
-            sec = build_sector(G, cls)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            sec = build_sector(G, cls, classes)
             series = sector_hhcoh_series(sec, 6)
             for p in range(sec.fixed_dim + 1):
                 for d in range(7):
@@ -88,8 +90,9 @@ def test_04_cohomology_molien_matches_twisted_oracle(sweep_groups):
 
 def test_05_derived_fixed_equals_shifted_tangent(sweep_groups):
     for G in sweep_groups.values():
-        for cls in conjugacy_classes(G):
-            sec = build_sector(G, cls)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            sec = build_sector(G, cls, classes)
             want = shifted_tangent_hilbert(sec, 6)
             for g in cls.members:
                 assert derived_fixed_hilbert(rational_matrix(*G.elements[g]), 6) == want
@@ -97,8 +100,8 @@ def test_05_derived_fixed_equals_shifted_tangent(sweep_groups):
 
 def test_06_s3_invariant_ring_dimensions(sweep_groups):
     G = sweep_groups["S3 permutation on A3"]
-    untwisted = conjugacy_classes(G)[0]
-    sec = build_sector(G, untwisted)
+    classes = conjugacy_classes(G)
+    sec = build_sector(G, classes[0], classes)
     series = sector_hh_series(sec, 5)
     assert series.row(0) == (F(1), F(1), F(2), F(3), F(4), F(5))
 

@@ -90,8 +90,10 @@ def test_elementary_symmetric_matches_fraction_recursion(zoo_groups):
     cases += [[[entry() for _ in range(n)] for _ in range(n)]
               for n in range(1, 7) for _ in range(30)]
     for G in zoo_groups.values():
-        for cls in conjugacy_classes(G):
-            cases.extend(rational_matrix(*A) for A in build_sector(G, cls).restricted_action)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            cases.extend(rational_matrix(*A)
+                         for A in build_sector(G, cls, classes).restricted_action)
     for M in cases:
         d, N = integer_form(M)
         got = elementary_symmetric((d, N))

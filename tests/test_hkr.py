@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from collections import Counter
 from itertools import combinations
@@ -6,7 +7,7 @@ from types import FunctionType
 
 import pytest
 
-from orbifold_hkr import exact, hkr
+from orbifold_hkr import cli, exact, hkr, sectors
 from orbifold_hkr.exact import (BiSeries, det_series_factor,
                                 elementary_symmetric, integer_form, mat_det,
                                 mat_inv, mat_mul, rational_matrix, transpose)
@@ -23,7 +24,9 @@ F = Fraction
 
 
 def _sectors(G):
-    return [build_sector(G, cls) for cls in conjugacy_classes(G)]
+    # as full_report builds them: central classes take one term per G-class
+    classes = conjugacy_classes(G)
+    return [build_sector(G, cls, classes) for cls in classes]
 
 
 def _trivial_group(n):
@@ -295,9 +298,10 @@ def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
             assert sector_hhcoh_series(sec, 8) == _per_element_hhcoh(sec, 8)
 
 
-def test_molien_key_is_computed_once_per_element(zoo_groups, monkeypatch):
-    # each table computes e(A_h) once per centralizer element and expands
-    # det_series_factor from it, so no call comes from anywhere else
+def test_molien_key_is_computed_once_per_term(zoo_groups, monkeypatch):
+    # each table computes e(A_h) once per weighted term and expands
+    # det_series_factor from it, so no call comes from anywhere else: one
+    # term per G-class for a central sector, one per element for the others
     calls = []
     real = exact.elementary_symmetric
 
@@ -308,11 +312,14 @@ def test_molien_key_is_computed_once_per_element(zoo_groups, monkeypatch):
     monkeypatch.setattr(hkr, "elementary_symmetric", counted)
     monkeypatch.setattr(exact, "elementary_symmetric", counted)
     for G in zoo_groups.values():
+        classes = conjugacy_classes(G)
         for sec in _sectors(G):
+            central = len(sec.class_ref.members) == 1
             for series in (sector_hh_series, sector_hhcoh_series):
                 calls.clear()
                 series(sec, 6)
-                assert len(calls) == len(sec.class_ref.centralizer), (sec, series)
+                assert len(calls) == (len(classes) if central
+                                      else len(sec.class_ref.centralizer)), (sec, series)
 
 
 # the oracle against its dense Fraction form ----------------------------------------
@@ -468,6 +475,93 @@ def test_oracle_in_a_basis_with_denominators_matches_the_permutation_basis():
         assert set(entries) <= {-1, 0, 1}
 
 
+# central sectors by class ------------------------------------------------------
+
+def _b4():
+    # Coxeter generators of B4 on A^4: three adjacent transpositions and the
+    # sign change of the last coordinate
+    signs = m([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    return _adjacent_transpositions(4) + (signs,)
+
+
+def _weighted_and_per_element(sec):
+    # the (key, character) multiset of the sector's weighted terms, and the
+    # one over every centralizer element through the per-element tuples
+    weighted = Counter()
+    for pair, chi, weight in sec.terms:
+        weighted[elementary_symmetric(pair), chi] += weight
+    per_element = Counter(zip(map(elementary_symmetric, sec.restricted_action),
+                              sec.det_normal_char))
+    return weighted, per_element
+
+
+def _conjugate_group(gens, P):
+    return generate(tuple(mat_mul(mat_mul(P, g), mat_inv(P)) for g in gens), 1000)
+
+
+def test_class_terms_of_central_sectors_match_every_element(zoo_groups):
+    groups = list(zoo_groups.values()) + [generate(_b4(), 1000)]
+    for gens, P in ((B3, B3_BASIS), (_adjacent_transpositions(4), DET8)):
+        groups += [generate(gens, 1000), _conjugate_group(gens, P)]
+    central = 0
+    for G in groups:
+        classes = conjugacy_classes(G)
+        for sec in _sectors(G):
+            if len(sec.class_ref.members) > 1:
+                assert [w for _, _, w in sec.terms] == [1] * len(sec.class_ref.centralizer)
+                continue
+            central += 1
+            assert len(sec.terms) == len(classes)
+            assert [w for _, _, w in sec.terms] == [len(c.members) for c in classes]
+            weighted, per_element = _weighted_and_per_element(sec)
+            assert weighted == per_element, sec
+            assert sum(weighted.values()) == G.order
+    # every group has the identity sector, and -1 or an abelian group adds more
+    assert central > len(groups)
+
+
+@pytest.mark.parametrize("gens, P", [(B3, B3_BASIS), (_adjacent_transpositions(4), DET8)],
+                         ids=["B3", "S4"])
+def test_class_terms_of_central_sectors_do_not_depend_on_the_basis(gens, P):
+    # conjugate groups enumerate their elements in the same order, so the
+    # central sectors line up and their weighted multisets must be equal
+    def central_terms(G):
+        return [_weighted_and_per_element(sec)[0] for sec in _sectors(G)
+                if len(sec.class_ref.members) == 1]
+
+    assert central_terms(_conjugate_group(gens, P)) == central_terms(generate(gens, 1000))
+
+
+def test_b4_totals_do_not_change_when_the_generators_are_reversed():
+    # the closure order, the classes and so the class representatives that
+    # stand for the central sectors all change; the totals must not
+    gens = _b4()
+    plain, reverse = generate(gens, 1000), generate(gens[::-1], 1000)
+    assert plain.elements != reverse.elements
+    for mode in ("homology", "cohomology"):
+        assert full_report(reverse, 6, mode).total == full_report(plain, 6, mode).total
+
+
+def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
+    # the class terms, the generator guard and the per-element tuples read
+    # afterwards share one computation per element
+    calls = []
+    real = sectors.lowest_terms
+    monkeypatch.setattr(sectors, "lowest_terms", lambda *a: calls.append(a) or real(*a))
+    for G in list(zoo_groups.values()) + [generate(_b4(), 1000)]:
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            calls.clear()
+            sec = build_sector(G, cls, classes)
+            if len(cls.members) == 1:
+                generators = {table[0] for table in G.right}
+                assert len(calls) == len(generators | {c.representative for c in classes})
+            else:
+                assert len(calls) == len(cls.centralizer)
+            assert len(sec.restricted_action) == len(sec.det_normal_char) == len(calls)
+            assert len(calls) == len(cls.centralizer)
+
+
 # the invariant lattice basis --------------------------------------------------------
 
 def test_hermite_basis_spans_exactly_the_lattice_of_its_generators():
@@ -534,4 +628,25 @@ def test_oracle_code_shares_nothing_with_molien():
                     if n in code.co_names and isinstance(v, FunctionType)
                     and v.__module__ == hkr.__name__)
     assert "_oracle_tables" in names and "_sym_images" in names
-    assert not names & {"elementary_symmetric", "det_series_factor", "_molien_average"}
+    assert "restricted_action" in names and "det_normal_char" in names
+    assert not names & {"elementary_symmetric", "det_series_factor", "_molien_average",
+                        "terms"}
+
+
+def test_oracle_builds_its_per_element_data_only_when_asked(monkeypatch):
+    # the Molien tables read the weighted terms alone, so without --oracle no
+    # sector makes its per-element tuples; the oracle's sectors all do
+    built = []
+    real = hkr.build_sector
+    monkeypatch.setattr(hkr, "build_sector", lambda *a: built.append(real(*a)) or built[-1])
+    doc = {"command": "quotient", "t_max": 3,
+           "generators": [[[str(x) for x in row] for row in g] for g in B3]}
+    cli.run(cli.parse_jobspec(json.dumps(doc)))
+    assert len(built) == 2 * len(conjugacy_classes(generate(B3, 1000)))
+    assert all(sec._per_element is None and sec._oracle is None for sec in built)
+    built.clear()
+    report = cli.run(cli.parse_jobspec(json.dumps(dict(doc, oracle=True))))
+    assert report["oracle"]["agreement"] is True
+    oracle_sectors = built[-len(report["sectors"]):]
+    assert all(sec._per_element is not None and sec._oracle is not None
+               for sec in oracle_sectors)

@@ -1,14 +1,16 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from orbifold_hkr import sectors
+from orbifold_hkr import hkr, sectors
+from orbifold_hkr.cli import main
 from orbifold_hkr.exact import (InternalError, NotInvertible, integer_form,
                                 mat_det, mat_identity, mat_inv, mat_mul,
                                 mat_rank, mat_sub, mat_vec, nullspace_basis,
                                 rational_matrix, rref)
-from orbifold_hkr.groups import conjugacy_classes, generate
+from orbifold_hkr.groups import ConjClass, conjugacy_classes, generate
 from orbifold_hkr.sectors import (build_sector, derived_fixed_hilbert, monomials,
                                   shifted_tangent_hilbert)
 
@@ -28,7 +30,7 @@ def _class_of(G, g):
 
 
 def _sector_of(G, g):
-    return build_sector(G, _class_of(G, g))
+    return build_sector(G, _class_of(G, g), conjugacy_classes(G))
 
 
 def _position(G, sec, g):
@@ -73,8 +75,9 @@ def test_transposition_sector_of_s3():
 
 def test_fixed_basis_is_correct(zoo_groups):
     for G in zoo_groups.values():
-        for cls in conjugacy_classes(G):
-            sec = build_sector(G, cls)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            sec = build_sector(G, cls, classes)
             g = rational_matrix(*G.elements[cls.representative])
             A = mat_sub(g, mat_identity(G.n))
             for b in sec.fixed_basis:
@@ -84,8 +87,9 @@ def test_fixed_basis_is_correct(zoo_groups):
 
 def test_det_normal_char_is_multiplicative(zoo_groups):
     for G in zoo_groups.values():
-        for cls in conjugacy_classes(G):
-            sec = build_sector(G, cls)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            sec = build_sector(G, cls, classes)
             Z = [rational_matrix(*G.elements[h]) for h in cls.centralizer]
             # the product h1 h2 as a matrix, looked up among the centralizer
             where = {integer_form(h): k for k, h in enumerate(Z)}
@@ -99,8 +103,8 @@ def test_det_normal_char_is_multiplicative(zoo_groups):
 def test_change_of_complement_leaves_character_alone():
     G = generate(S3_PERM, 100)
     cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    default = build_sector(G, cls)
-    other = build_sector(G, cls, complement=[0])
+    default = build_sector(G, cls, conjugacy_classes(G))
+    other = build_sector(G, cls, conjugacy_classes(G), complement=[0])
     assert default.det_normal_char == other.det_normal_char
 
 
@@ -109,9 +113,9 @@ def test_bad_complement_is_rejected():
     cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(NotInvertible):
         # e_2 lies inside the fixed subspace, so it is no complement
-        build_sector(G, cls, complement=[2])
+        build_sector(G, cls, conjugacy_classes(G), complement=[2])
     with pytest.raises(ValueError):
-        build_sector(G, cls, complement=[0, 1])
+        build_sector(G, cls, conjugacy_classes(G), complement=[0, 1])
 
 
 def _conjugation_blocks(G, cls, comp):
@@ -143,8 +147,9 @@ def _conjugation_blocks(G, cls, comp):
 def test_block_formulas_match_conjugation_by_b(zoo_groups):
     b3_conjugate = tuple(mat_mul(mat_mul(B3_BASIS, g), mat_inv(B3_BASIS)) for g in B3)
     for G in list(zoo_groups.values()) + [generate(b3_conjugate)]:
-        for cls in conjugacy_classes(G):
-            sec = build_sector(G, cls)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            sec = build_sector(G, cls, classes)
             # the default complement: the coordinates off the pivots of the fixed basis
             pivots = rref(sec.fixed_basis)[1] if sec.fixed_basis else []
             default = [j for j in range(G.n) if j not in pivots]
@@ -158,9 +163,9 @@ def test_block_formulas_match_conjugation_by_b(zoo_groups):
                 want = _conjugation_blocks(G, cls, comp)
                 if want is None:
                     with pytest.raises(NotInvertible):
-                        build_sector(G, cls, complement=comp)
+                        build_sector(G, cls, classes, complement=comp)
                     continue
-                other = build_sector(G, cls, complement=comp)
+                other = build_sector(G, cls, classes, complement=comp)
                 assert (other.restricted_action, other.det_normal_char) == want
                 # and the sector does not depend on the choice
                 assert other.restricted_action == sec.restricted_action
@@ -174,7 +179,7 @@ def test_fixed_subspace_guard_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(sectors, "nullspace_basis",
                         lambda A: [m([[1, 0, 0]])[0], m([[0, 0, 1]])[0]])
     with pytest.raises(InternalError, match="does not preserve the fixed subspace"):
-        build_sector(G, cls)
+        build_sector(G, cls, conjugacy_classes(G))
 
 
 # Koszul homology of (g - I) ---------------------------------------------------
@@ -225,8 +230,9 @@ def test_shifted_tangent_plane_count():
 
 def test_derived_equals_shifted_across_zoo(zoo_groups):
     for G in zoo_groups.values():
-        for cls in conjugacy_classes(G):
-            sec = build_sector(G, cls)
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            sec = build_sector(G, cls, classes)
             want = shifted_tangent_hilbert(sec, 6)
             for g in cls.members:
                 assert derived_fixed_hilbert(rational_matrix(*G.elements[g]), 6) == want
@@ -239,4 +245,28 @@ def test_normal_character_guard_is_an_internal_error(monkeypatch):
     real = sectors.mat_det
     monkeypatch.setattr(sectors, "mat_det", lambda A: real(A) + 1)
     with pytest.raises(InternalError, match="normal directions is not"):
-        build_sector(G, cls)
+        build_sector(G, cls, conjugacy_classes(G))
+
+
+def test_central_class_guard_checks_every_generator(tmp_path, capsys, monkeypatch):
+    # a hand-built class claims that the swap of x_1 and x_2 is central; its
+    # class representatives, the identity and the swap, preserve the fixed
+    # plane x_1 = x_2, so only the check on the generators, whose 3-cycle
+    # moves it, can see that the swap is not central
+    G = generate(S3_PERM, 100)
+    swap = _index(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    fake = ConjClass(swap, (swap,), tuple(range(G.order)), 2)
+    identity = conjugacy_classes(G)[0]
+    with pytest.raises(InternalError, match="does not preserve the fixed subspace"):
+        build_sector(G, fake, [identity, fake])
+    # through the CLI the guard is exit 5, one line on stderr and no report
+    monkeypatch.setattr(hkr, "conjugacy_classes", lambda G: [fake] + conjugacy_classes(G))
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({"command": "quotient", "t_max": 3,
+                                "generators": [[[str(x) for x in row] for row in g]
+                                               for g in S3_PERM]}))
+    assert main(["quotient", "--spec", str(spec)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: centralizer element does not preserve")
+    assert err.count("\n") == 1 and "Traceback" not in err
