@@ -14,12 +14,13 @@ Two independent routes to the same numbers:
     exterior basis, then the rank of the averaging projector.  Each sector's
     centralizer first acts in a reduced basis of its invariant lattice
     sum_h A_h Z^f (integer Hermite form, then LLL for the invariant form
-    sum_h A_h^T A_h), where every matrix and its inverse is integral, so the
-    cost does not depend on the basis of the input.  The Sym^k images are
-    built once, degree by degree, and the Lambda^p minors once per p; the
-    distinct nonzero rows of the integer projector are ranked exactly by the
-    one elimination kernel of exact.  The work of every cell is estimated
-    from binomials and guarded before any image is built.
+    sum_h A_h^T A_h), where every matrix and its inverse is integral.  The
+    Sym^k images are built once, degree by degree, and the Lambda^p minors
+    once per p.  The projector is built by columns, skipping every column
+    that P rho(h) = chi_h P puts in the span of those built (one per orbit
+    for a signed-permutation action), and its distinct nonzero columns are
+    ranked exactly by the one elimination kernel of exact.  The work of every
+    cell is estimated from binomials and guarded before any image is built.
 
 The oracle shares no series or characteristic-polynomial code with the Molien
 path on purpose; agreement of the two is the correctness argument.
@@ -44,8 +45,8 @@ from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
 
 # oracle work, counted as projector entries plus images summed into them:
-# ORACLE_GUARD bounds one cell (a dense P of about 40 MB), ORACLE_WORK the
-# sum over every cell of a job (S5 on A^5 at t_max 6 estimates 2.2e7)
+# ORACLE_GUARD bounds one cell at worst (dim columns of dim entries, 40 MB),
+# ORACLE_WORK the sum over every cell of a job (S5 on A^5 at t_max 6: 2.2e7)
 ORACLE_GUARD = 5 * 10 ** 6
 ORACLE_WORK = 3 * 10 ** 7
 
@@ -353,10 +354,12 @@ def brute_force_invariants(sector, p, d, mode):
     inverse is integral, so the Sym images (built degree by degree) and the
     Lambda minors, made once and kept on the Sector, are integer and the
     characters are +-1.  The 1/|Z| of the projector is left out, since no
-    scaling changes a rank, and only the distinct nonzero rows of the
-    projector are ranked, since repeated rows never add to it.  A cell whose
-    projector entries plus summed images exceed ORACLE_GUARD raises
-    BasisTooLarge before anything is built.
+    scaling changes a rank.  P rho(h) = chi_h P for h in Z(g), so when h maps
+    a built basis vector to sum_k c_k e_k (c_k != 0) and the columns of all
+    but one e_k lie in the span of the built ones, so does the last: it is
+    never built.  A signed-permutation action builds one column per orbit.
+    A cell whose worst case, dim^2 entries plus summed images, exceeds
+    ORACLE_GUARD raises BasisTooLarge before anything is built.
     """
     deg, dim = _cell_shape(sector, p, d, mode)
     if dim == 0:
@@ -370,17 +373,30 @@ def brute_force_invariants(sector, p, d, mode):
     tables = _oracle_tables(sector)
     chars = (sector.det_normal_char if mode == "polyvectors_twisted"
              else [1] * len(sector.class_ref.centralizer))
-    P = [[0] * dim for _ in range(dim)]
-    for chi, images, minors in zip(chars, _sym_images(tables, f, deg), tables[mode]):
-        for a, image in enumerate(images):
-            for i, targets in enumerate(minors[p]):
-                col = a * ns + i
-                for b, cb in image.items():
-                    base = b * ns
-                    wc = chi * cb
-                    for j, mj in targets:
-                        P[base + j][col] += wc * mj
-    return mat_rank([row for row in dict.fromkeys(map(tuple, P)) if any(row)])
+    data = list(zip(chars, _sym_images(tables, f, deg), [m[p] for m in tables[mode]]))
+    covered = [False] * dim  # the column lies in the span of the built ones
+    columns = []
+    for col in range(dim):
+        if covered[col]:
+            continue
+        covered[col] = True
+        a, i = divmod(col, ns)
+        column = [0] * dim
+        for chi, images, minors in data:
+            image, targets = images[a], minors[i]
+            free = 0
+            for b, cb in image.items():
+                base = b * ns
+                wc = chi * cb
+                for j, mj in targets:
+                    column[base + j] += wc * mj
+                    if not covered[base + j]:
+                        free, k = free + 1, base + j
+            if free == 1:  # sum_k c_k P e_k = chi_h P e_col
+                covered[k] = True
+        if any(column):
+            columns.append(tuple(column))
+    return mat_rank(list(dict.fromkeys(columns)))
 
 
 def full_report(G, t_max, mode="homology"):

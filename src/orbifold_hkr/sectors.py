@@ -42,8 +42,9 @@ class Sector:
     (d, N) pair and chi_h the int +-1: for a central class one per G-class
     representative h, weighted by the class size, else one per centralizer
     element, weighted 1.  restricted_action and det_normal_char are the
-    per-element tuples in centralizer order, made on first read from the
-    element routine of build_sector, which computes no element twice.
+    per-element tuples in centralizer order, made on first read: from the
+    terms for a non-central class, else from the element routine of
+    build_sector, which computes no element twice.
     _oracle holds the integer images that hkr.brute_force_invariants makes
     for this sector; they live and die with it, and nothing else reads them.
     """
@@ -63,8 +64,9 @@ class Sector:
 
     def _tuples(self):
         if self._per_element is None:
-            data = map(self._element, self.class_ref.centralizer)
-            self._per_element = tuple(zip(*data))
+            data = (self.terms if self._element is None
+                    else map(self._element, self.class_ref.centralizer))
+            self._per_element = tuple(zip(*data))[:2]
             self._element = None
         return self._per_element
 
@@ -157,14 +159,16 @@ def build_sector(G, cls, classes, complement=None):
                           1 if det == unit else -1)
         return out
 
-    if len(cls.members) == 1:
+    central = len(cls.members) == 1
+    if central:
         for table in G.right:  # table[0] is the generator itself
             element(table[0])
         weighted = [(k.representative, len(k.members)) for k in classes]
     else:
         weighted = [(h, 1) for h in cls.centralizer]
     terms = tuple(element(h) + (w,) for h, w in weighted)
-    return Sector(cls, n, tuple(fixed), c, terms, element)
+    # a non-central sector's terms are its per-element data already
+    return Sector(cls, n, tuple(fixed), c, terms, element if central else None)
 
 
 class KoszulReport:

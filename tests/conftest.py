@@ -27,6 +27,20 @@ B3 = (m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
 # a det-3 change of basis that gives B3 non-integer entries
 B3_BASIS = m([[1, 1, 0], [-1, 1, 1], [0, 1, 2]])
 
+# Cartan matrices; the simple reflection s_i sends alpha_j to
+# alpha_j - A_ij alpha_i, so with the B4 matrix the roots span the lattice of
+# the C4 roots, e_i +- e_j and 2 e_i
+B4_CARTAN = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2))
+D4_CARTAN = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def cartan_generators(A):
+    """The simple reflections of the Cartan matrix A in the root basis."""
+    n = len(A)
+    return tuple(m([[int(k == j) - (A[i][j] if k == i else 0) for j in range(n)]
+                    for k in range(n)]) for i in range(n))
+
+
 SWEEP = {
     "C2 sign on A1": SIGN_1D,
     "minus I on A2": MINUS_I2,

@@ -15,7 +15,7 @@ from orbifold_hkr.cli import (NonSquareMatrix, SchemaError, main, parse_jobspec,
 from orbifold_hkr.exact import mat_det, mat_inv, mat_mul
 from orbifold_hkr.groups import OrderCapExceeded
 
-from conftest import B3, ZOO, m
+from conftest import B3, D4_CARTAN, ZOO, cartan_generators, m
 
 from fractions import Fraction
 
@@ -385,6 +385,27 @@ def test_report_is_invariant_under_change_of_basis(case):
     Pinv = mat_inv(P)
     conjugated = [mat_mul(mat_mul(P, g), Pinv) for g in gens]
     assert _report_without_input(conjugated) == _report_without_input(gens)
+
+
+def test_d4_oracle_agrees_in_the_root_basis_and_a_signed_basis(tmp_path, capsys):
+    # the root lattice of D4 has no basis in which the Weyl group acts by
+    # signed permutations, so the oracle builds more projector columns there;
+    # the group and every table must still come out the same
+    n = 4
+    signed = [m([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+              for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))]
+    signed.append(m([[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    reports = []
+    for gens in (cartan_generators(D4_CARTAN), signed):
+        spec = tmp_path / "job.json"
+        spec.write_text(json.dumps({"command": "quotient", "t_max": 3, "generators":
+                                    [[[str(x) for x in row] for row in g] for g in gens]}))
+        assert main(["quotient", "--spec", str(spec), "--oracle"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    root, sign = reports
+    assert root["oracle"]["agreement"] is True and sign["oracle"]["agreement"] is True
+    assert root["group_order"] == sign["group_order"] == 192
+    assert (root["HH"], root["HHcoh"]) == (sign["HH"], sign["HHcoh"])
 
 
 # generator order -------------------------------------------------------------------

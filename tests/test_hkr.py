@@ -17,8 +17,8 @@ from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report
                               sector_hhcoh_series)
 from orbifold_hkr.sectors import build_sector, monomials
 
-from conftest import (B3, B3_BASIS, MINUS_I2, ROT4, S3_PERM, SIGN_1D,
-                      fraction_gauss_jordan, m)
+from conftest import (B3, B3_BASIS, B4_CARTAN, D4_CARTAN, MINUS_I2, ROT4, S3_PERM,
+                      SIGN_1D, cartan_generators, fraction_gauss_jordan, m)
 
 F = Fraction
 
@@ -560,6 +560,117 @@ def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
                 assert len(calls) == len(cls.centralizer)
             assert len(sec.restricted_action) == len(sec.det_normal_char) == len(calls)
             assert len(calls) == len(cls.centralizer)
+
+
+def test_non_central_sectors_read_their_tuples_from_the_terms():
+    # a non-central class has one weight-1 term per centralizer element, in
+    # centralizer order, so the sector keeps no element routine beside them
+    for G in (generate(_b4(), 1000), _conjugate_group(B3, B3_BASIS)):
+        classes = conjugacy_classes(G)
+        non_central = [build_sector(G, cls, classes) for cls in classes
+                       if len(cls.members) > 1]
+        assert non_central
+        for sec in non_central:
+            assert sec._element is None
+            assert sec.restricted_action == tuple(pair for pair, _, _ in sec.terms)
+            assert sec.det_normal_char == tuple(chi for _, chi, _ in sec.terms)
+
+
+# the projector by columns ----------------------------------------------------------
+
+def _cell_elements(sec, p, d, mode):
+    # one oracle cell from the oracle's own tables: its dimension, ns = the
+    # number of p-subsets and, per centralizer element h, (chi_h, the Sym
+    # images, the Lambda^p minors)
+    deg, dim = hkr._cell_shape(sec, p, d, mode)
+    tables = hkr._oracle_tables(sec)
+    chars = (sec.det_normal_char if mode == "polyvectors_twisted"
+             else [1] * len(sec.class_ref.centralizer))
+    return dim, comb(sec.fixed_dim, p), list(zip(
+        chars, hkr._sym_images(tables, sec.fixed_dim, deg), [m[p] for m in tables[mode]]))
+
+
+def _rho(dim, ns, images, minors):
+    # the dense matrix of one element on the cell: column a * ns + i is the
+    # image of basis vector (a, i), monomial a times p-subset i
+    R = [[0] * dim for _ in range(dim)]
+    for a, image in enumerate(images):
+        for i, targets in enumerate(minors):
+            for b, cb in image.items():
+                for j, mj in targets:
+                    R[b * ns + j][a * ns + i] += cb * mj
+    return R
+
+
+def _dense_projector(dim, ns, elements):
+    # P = sum_h chi_h rho(h) by bilinearity: per monomial a, the elements are
+    # grouped by the image v of a, and column (a, i) gets v (x) (the sum of
+    # chi_h Lambda^p(h) e_i over each group), far fewer terms than the sum of
+    # the dense rho(h) when many elements share an image
+    P = [[0] * dim for _ in range(dim)]
+    flat = [[(i * ns + j, chi * mj) for i, targets in enumerate(minors) for j, mj in targets]
+            for chi, _, minors in elements]
+    for a in range(dim // ns):
+        groups = {}
+        for (_, images, _), pairs in zip(elements, flat):
+            key = frozenset(images[a].items())
+            acc = groups.get(key)
+            if acc is None:
+                acc = groups[key] = [0] * (ns * ns)
+            for k, x in pairs:
+                acc[k] += x
+        for image, acc in groups.items():
+            for k, x in enumerate(acc):
+                if x:
+                    i, j = divmod(k, ns)
+                    for b, cb in image:
+                        P[b * ns + j][a * ns + i] += cb * x
+    return P
+
+
+def _oracle_cells(sec, t_max):
+    return [(p, d, mode) for mode in ("forms", "polyvectors_twisted")
+            for p in range(sec.fixed_dim + 1) for d in range(t_max + 1)
+            if hkr._cell_shape(sec, p, d, mode)[1]]
+
+
+@pytest.mark.parametrize("gens, P", [(B3, B3_BASIS), (_adjacent_transpositions(4), DET8)],
+                         ids=["B3", "S4"])
+def test_projector_times_rho_is_the_character_times_the_projector(gens, P):
+    # the identity behind every column that brute_force_invariants skips,
+    # and the grouped dense P against the literal sum of the rho(h)
+    for sec in _sectors(_conjugate_group(gens, P)):
+        for p, d, mode in _oracle_cells(sec, 3):
+            dim, ns, elements = _cell_elements(sec, p, d, mode)
+            P_cell = _dense_projector(dim, ns, elements)
+            columns = list(zip(*P_cell))
+            literal = [[0] * dim for _ in range(dim)]
+            for chi, images, minors in elements:
+                rho = _rho(dim, ns, images, minors)
+                literal = [[x + chi * y for x, y in zip(row, R)] for row, R in zip(literal, rho)]
+                # column c of P rho(h) is the sum of rho[k][c] times column k of P
+                for c, rho_c in enumerate(zip(*rho)):
+                    want = [0] * dim
+                    for k, v in enumerate(rho_c):
+                        if v:
+                            want = [x + v * y for x, y in zip(want, columns[k])]
+                    assert want == [chi * y for y in columns[c]], (sec, p, d, mode)
+            assert literal == P_cell
+
+
+def test_oracle_by_columns_matches_the_dense_projector_in_root_bases():
+    # in the root bases of D4 and B4 some reduced actions are no signed
+    # permutations, so the oracle builds some of their columns and skips
+    # others; the dense P is ranked on its distinct rows
+    for A in (D4_CARTAN, B4_CARTAN):
+        secs = _sectors(generate(cartan_generators(A), 1000))
+        for sec in secs:
+            for p, d, mode in _oracle_cells(sec, 4):
+                P = _dense_projector(*_cell_elements(sec, p, d, mode))
+                want = exact.mat_rank(list(dict.fromkeys(map(tuple, P))))
+                assert brute_force_invariants(sec, p, d, mode) == want, (sec, p, d, mode)
+        assert any(sum(map(bool, row)) > 1
+                   for sec in secs for B in sec._oracle["dual"] for row in B)
 
 
 # the invariant lattice basis --------------------------------------------------------
