@@ -18,9 +18,9 @@ Two independent routes to the same numbers:
     Sym^k images are built once, degree by degree, and the Lambda^p minors
     once per p.  The projector is built by columns, skipping every column
     that P rho(h) = chi_h P puts in the span of those built (one per orbit
-    for a signed-permutation action), and its distinct nonzero columns are
-    ranked exactly by the one elimination kernel of exact.  The work of every
-    cell is estimated from binomials and guarded before any image is built.
+    for a signed-permutation action), and its distinct columns are ranked
+    exactly by the one elimination kernel of exact.  The work of every cell
+    is estimated from binomials and guarded before any image is built.
 
 The oracle shares no series or characteristic-polynomial code with the Molien
 path on purpose; agreement of the two is the correctness argument.
@@ -394,8 +394,7 @@ def brute_force_invariants(sector, p, d, mode):
                         free, k = free + 1, base + j
             if free == 1:  # sum_k c_k P e_k = chi_h P e_col
                 covered[k] = True
-        if any(column):
-            columns.append(tuple(column))
+        columns.append(tuple(column))
     return mat_rank(list(dict.fromkeys(columns)))
 
 
