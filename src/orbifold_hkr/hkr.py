@@ -8,8 +8,11 @@ Two independent routes to the same numbers:
     set of rows, the average of e_p(A_h) / det(I - t A_h) over the
     centralizer, read from the sector's weighted terms: one per G-class,
     weighted by its size, when g is central, else one per element.
-    elementary_symmetric keys each term's (d, N) pair A_h by integers, and
-    det_series_factor runs once per distinct (key, character) pair.
+    The weights, signed by the character for cohomology, are summed per
+    distinct (d, N) pair A_h first; pairs and keys whose net weight cancels
+    are dropped, elementary_symmetric keys each other pair once and
+    det_series_factor expands each other key once, and the cells are summed
+    as integers over one common denominator.
   * A brute-force oracle: explicit representation matrices on a monomial and
     exterior basis, then the rank of the averaging projector.  Each sector's
     centralizer first acts in a reduced basis of its invariant lattice
@@ -94,23 +97,33 @@ def _check_integral(series):
 def _molien_average(sector, t_max, twisted):
     # rows p = 0..f of the centralizer average of chi_h e_p(A_h) / det(I - t A_h),
     # A_h the action on V^g and chi_h the det-of-normal character when twisted
-    # (else 1); a term depends only on (key (D, A) of A_h, chi_h), so each one
-    # is expanded once, weighted by the summed weights of the sector's terms
-    # (class sizes for a central g), with e_p = (-1)^p A_p / D^p
-    keys = Counter()
+    # (else 1).  A term depends only on the key (D, A) of A_h, with
+    # e_p = (-1)^p A_p / D^p.  The terms' weights (class sizes for a central
+    # g), signed by chi, are summed per distinct pair; each pair and each key
+    # whose net weight does not cancel is keyed or expanded once.  The cells
+    # are integers over one multiple of every D^p and every series
+    # denominator, so they stay exact for any key, made Fractions at the end
+    weights = Counter()
     for pair, chi, weight in sector.terms:
-        keys[elementary_symmetric(pair), chi if twisted else 1] += weight
-    order = len(sector.class_ref.centralizer)
-    rows = [[QZERO] * (t_max + 1) for _ in range(sector.fixed_dim + 1)]
-    for ((D, A), chi), count in keys.items():
-        series = det_series_factor((D, A), t_max)
-        for p, (row, a) in enumerate(zip(rows, A)):
-            c = Fraction(chi * count * (-a if p % 2 else a), order * D ** p)
+        weights[pair] += chi * weight if twisted else weight
+    keys = Counter()
+    for pair, weight in weights.items():
+        if weight:
+            keys[elementary_symmetric(pair)] += weight
+    f = sector.fixed_dim
+    expanded = [(D, A, weight, det_series_factor((D, A), t_max))
+                for (D, A), weight in keys.items() if weight]
+    top = lcm(*[D ** f for D, *_ in expanded])
+    scale = lcm(*[x.denominator for *_, series in expanded for x in series])
+    sums = [[0] * (t_max + 1) for _ in range(f + 1)]
+    for D, A, weight, series in expanded:
+        scaled = [x.numerator * (scale // x.denominator) for x in series]
+        for p, (row, a) in enumerate(zip(sums, A)):
+            c = weight * (-a if p % 2 else a) * (top // D ** p)
             if c:
-                for d, x in enumerate(series):
-                    if x:
-                        row[d] += c * x
-    return rows
+                row[:] = [s + c * x for s, x in zip(row, scaled)]
+    order = len(sector.class_ref.centralizer) * top * scale
+    return [[Fraction(s, order) for s in row] for row in sums]
 
 
 def sector_hh_series(sector, t_max):

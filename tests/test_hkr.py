@@ -10,8 +10,8 @@ import pytest
 from orbifold_hkr import cli, exact, hkr, sectors
 from orbifold_hkr.exact import (BiSeries, det_series_factor,
                                 elementary_symmetric, integer_form, mat_det,
-                                mat_inv, mat_mul, rational_matrix, transpose)
-from orbifold_hkr.groups import conjugacy_classes, generate
+                                mat_inv, mat_mul, rational_matrix, rref, transpose)
+from orbifold_hkr.groups import ConjClass, conjugacy_classes, generate
 from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
                               oracle_verdict, sector_hh_series,
                               sector_hhcoh_series)
@@ -19,6 +19,7 @@ from orbifold_hkr.sectors import build_sector, monomials
 
 from conftest import (B3, B3_BASIS, B4_CARTAN, D4_CARTAN, MINUS_I2, ROT4, S3_PERM,
                       SIGN_1D, cartan_generators, fraction_gauss_jordan, m)
+from test_sectors import _conjugation_blocks
 
 F = Fraction
 
@@ -299,9 +300,10 @@ def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
 
 
 def test_molien_key_is_computed_once_per_term(zoo_groups, monkeypatch):
-    # each table computes e(A_h) once per weighted term and expands
-    # det_series_factor from it, so no call comes from anywhere else: one
-    # term per G-class for a central sector, one per element for the others
+    # each table sums the weights of its terms per pair A_h first, signed by
+    # the character for cohomology, and computes e(A_h) once per distinct
+    # pair whose net weight does not cancel, then expands det_series_factor
+    # from the keys, so no call comes from anywhere else
     calls = []
     real = exact.elementary_symmetric
 
@@ -311,15 +313,61 @@ def test_molien_key_is_computed_once_per_term(zoo_groups, monkeypatch):
 
     monkeypatch.setattr(hkr, "elementary_symmetric", counted)
     monkeypatch.setattr(exact, "elementary_symmetric", counted)
+    cancelled = 0
     for G in zoo_groups.values():
-        classes = conjugacy_classes(G)
         for sec in _sectors(G):
-            central = len(sec.class_ref.members) == 1
-            for series in (sector_hh_series, sector_hhcoh_series):
+            pairs = {pair for pair, _, _ in sec.terms}
+            net = Counter()
+            for pair, chi, weight in sec.terms:
+                net[pair] += chi * weight
+            signed = {pair for pair, weight in net.items() if weight}
+            cancelled += len(pairs - signed)
+            for series, want in ((sector_hh_series, pairs), (sector_hhcoh_series, signed)):
                 calls.clear()
                 series(sec, 6)
-                assert len(calls) == (len(classes) if central
-                                      else len(sec.class_ref.centralizer)), (sec, series)
+                assert sorted(calls) == sorted(want), (sec, series)
+    assert cancelled
+
+
+def _fraction_molien_rows(sec, t_max, twisted):
+    # the plain per-term Fraction sum: e_p(M) as the sum of principal p-minors
+    # and 1 / det(I - tM) inverted term by term, divided by the summed weights
+    f = sec.fixed_dim
+    rows = [[F(0)] * (t_max + 1) for _ in range(f + 1)]
+    for pair, chi, weight in sec.terms:
+        M = rational_matrix(*pair)
+        e = [sum((mat_det([[M[i][j] for j in I] for i in I]) if I else F(1))
+                 for I in combinations(range(f), p)) for p in range(f + 1)]
+        inverse = [F(1)]
+        for k in range(1, t_max + 1):
+            inverse.append(sum((-1) ** (j + 1) * e[j] * inverse[k - j]
+                               for j in range(1, min(k, f) + 1)))
+        for p in range(f + 1):
+            for d in range(t_max + 1):
+                rows[p][d] += (chi if twisted else 1) * weight * e[p] * inverse[d]
+    return [[x / len(sec.class_ref.centralizer) for x in row] for row in rows]
+
+
+def test_integer_row_sums_are_exact_for_keys_with_denominators():
+    # terms of infinite order, so D > 1 and the series entries have
+    # denominators: the one common denominator must keep every cell exact
+    def sector(terms):
+        f = len(terms[0][0][1])
+        size = sum(w for _, _, w in terms)
+        cls = ConjClass(0, (0,), tuple(range(size)), 1)
+        basis = tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
+        return sectors.Sector(cls, f, basis, 0, tuple(terms), None)
+
+    line = sector([((2, ((1,),)), -1, 1), ((1, ((1,),)), 1, 1), ((1, ((3,),)), 1, 2)])
+    plane = sector([((3, ((1, 1), (0, 2))), 1, 1), ((2, ((1, 0), (1, 1))), -1, 3),
+                    ((1, ((1, 0), (0, 1))), 1, 2)])
+    assert elementary_symmetric(plane.terms[0][0]) == (3, (1, -3, 2))
+    assert elementary_symmetric(plane.terms[1][0]) == (2, (1, -2, 1))
+    for sec in (line, plane):
+        for twisted in (False, True):
+            rows = hkr._molien_average(sec, 7, twisted)
+            assert rows == _fraction_molien_rows(sec, 7, twisted)
+            assert any(x.denominator > 1 for row in rows for x in row)
 
 
 # the oracle against its dense Fraction form ----------------------------------------
@@ -544,7 +592,8 @@ def test_b4_totals_do_not_change_when_the_generators_are_reversed():
 
 def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
     # the class terms, the generator guard and the per-element tuples read
-    # afterwards share one computation per element
+    # afterwards share one computation per element; a non-central sector
+    # makes one for g and one per <g>-coset of its centralizer
     calls = []
     real = sectors.lowest_terms
     monkeypatch.setattr(sectors, "lowest_terms", lambda *a: calls.append(a) or real(*a))
@@ -556,10 +605,37 @@ def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
             if len(cls.members) == 1:
                 generators = {table[0] for table in G.right}
                 assert len(calls) == len(generators | {c.representative for c in classes})
+                want = len(cls.centralizer)
             else:
-                assert len(calls) == len(cls.centralizer)
-            assert len(sec.restricted_action) == len(sec.det_normal_char) == len(calls)
-            assert len(calls) == len(cls.centralizer)
+                assert len(cls.centralizer) % cls.order == 0
+                want = len(cls.centralizer) // cls.order + 1
+                assert len(calls) == want
+            assert len(sec.restricted_action) == len(sec.det_normal_char) \
+                == len(cls.centralizer)
+            assert len(calls) == want
+
+
+def test_b4_job_keys_and_elements_within_its_pins(monkeypatch):
+    # the whole B4 job at t_max 10, both tables: 1200 keys and 1208 element
+    # computations when every centralizer element took its own
+    counts = Counter()
+    real_key, real_pair = hkr.elementary_symmetric, sectors.lowest_terms
+
+    def key(pair):
+        counts["key"] += 1
+        return real_key(pair)
+
+    def element(*a):
+        counts["element"] += 1
+        return real_pair(*a)
+
+    monkeypatch.setattr(hkr, "elementary_symmetric", key)
+    monkeypatch.setattr(sectors, "lowest_terms", element)
+    doc = {"command": "quotient", "t_max": 10,
+           "generators": [[[str(x) for x in row] for row in g] for g in _b4()]}
+    cli.run(cli.parse_jobspec(json.dumps(doc)))
+    assert 0 < counts["key"] <= 400
+    assert 0 < counts["element"] <= 600
 
 
 def test_non_central_sectors_read_their_tuples_from_the_terms():
@@ -574,6 +650,29 @@ def test_non_central_sectors_read_their_tuples_from_the_terms():
             assert sec._element is None
             assert sec.restricted_action == tuple(pair for pair, _, _ in sec.terms)
             assert sec.det_normal_char == tuple(chi for _, chi, _ in sec.terms)
+
+
+def test_coset_terms_match_every_element_by_conjugation(zoo_groups):
+    # a non-central sector computes one element per <g>-coset and derives
+    # the rest; its tuples must be those of B^-1 h B for every h, and its
+    # weighted (key, character) multiset the per-element one
+    groups = list(zoo_groups.values()) + [generate(_b4(), 1000),
+                                          _conjugate_group(B3, B3_BASIS),
+                                          _conjugate_group(_adjacent_transpositions(4), DET8)]
+    checked = 0
+    for G in groups:
+        for sec in _sectors(G):
+            cls = sec.class_ref
+            if len(cls.members) == 1:
+                continue
+            checked += 1
+            pivots = rref(sec.fixed_basis)[1] if sec.fixed_basis else []
+            default = [j for j in range(G.n) if j not in pivots]
+            assert (sec.restricted_action, sec.det_normal_char) == \
+                _conjugation_blocks(G, cls, default), sec
+            weighted, per_element = _weighted_and_per_element(sec)
+            assert weighted == per_element, sec
+    assert checked > len(groups)
 
 
 # the projector by columns ----------------------------------------------------------
