@@ -165,9 +165,11 @@ def generate(generators, cap=DEFAULT_CAP):
 
 
 # one conjugacy class as element indices: the representative (its first
-# member), the sorted members, the sorted centralizer, and the order of its
-# elements
-ConjClass = namedtuple("ConjClass", "representative members centralizer order")
+# member), the sorted members, the sorted centralizer, the order of its
+# elements, and for a non-central class the centralizer as its <g>-cosets,
+# one after another: h, g h, ..., g^(order-1) h, each from its least index
+# (() for a central class, whose sector takes one term per G-class)
+ConjClass = namedtuple("ConjClass", "representative members centralizer order cosets")
 
 
 def conjugacy_classes(G):
@@ -179,7 +181,8 @@ def conjugacy_classes(G):
     h^-1 g h = s^-1 (p^-1 g p) s, so one pass in closure order gives
     c[h] = h^-1 g h for every h: the class is the set of the c[h], sorted by
     index, and the centralizer the h with c[h] = g, so |class| * |centralizer|
-    = |G|.  The order of g is read off its left table.
+    = |G|.  The order of g and, for a non-central g, the <g>-cosets of the
+    centralizer are read off its left table.
     """
     conjugations = []
     for table in G.right:  # table[x] is x s, and table.index(0) is s^-1
@@ -197,6 +200,11 @@ def conjugacy_classes(G):
         power, order, x = G.left(g), 1, g
         while x:
             x, order = power[x], order + 1
-        classes.append(ConjClass(g, tuple(sorted(set(c))),
-                                 tuple(h for h, y in enumerate(c) if y == g), order))
+        centralizer = tuple(h for h, y in enumerate(c) if y == g)
+        cosets = {}  # walked in centralizer order, so each from its least index
+        for h in centralizer if len(centralizer) < G.order else ():
+            while h not in cosets:
+                cosets[h], h = None, power[h]
+        classes.append(ConjClass(g, tuple(sorted(set(c))), centralizer, order,
+                                 tuple(cosets)))
     return classes

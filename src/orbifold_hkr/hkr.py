@@ -7,7 +7,7 @@ Two independent routes to the same numbers:
     homology and with no t-power for cohomology.  Each table comes from one
     set of rows, the average of e_p(A_h) / det(I - t A_h) over the
     centralizer, read from the sector's weighted terms: one per G-class,
-    weighted by its size, when g is central, else one per element.
+    weighted by its size, when g is central, else one or two per <g>-coset.
     The weights, signed by the character for cohomology, are summed per
     distinct (d, N) pair A_h first; pairs and keys whose net weight cancels
     are dropped, elementary_symmetric keys each other pair once and
@@ -462,4 +462,5 @@ def oracle_verdict(G, t_max):
                     if got != want:
                         return {"mode": mode, "sector": idx, "degree": pdeg + shift,
                                 "weight": d, "molien": str(got), "oracle": str(want)}
+        sec._oracle = None  # every cell of this sector is checked
     return None

@@ -7,8 +7,8 @@ V^g ((d, N) pairs in lowest terms), and two bigraded Hilbert series that
 realize the derived fixed locus (Koszul side) and its shifted-tangent model.
 The Molien route reads the action and the character as weighted terms: for a
 central g, V^g is G-stable and both are class functions of G, so there is one
-term per G-class, weighted by its size; otherwise one per centralizer element,
-computed once per <g>-coset of the centralizer and read off G.left(g).
+term per G-class, weighted by its size; otherwise g acts trivially on V^g and
+there is one term per <g>-coset of the centralizer (ConjClass.cosets).
 
 Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 (equivalently the Koszul exterior generators); that choice is what makes the
@@ -40,14 +40,14 @@ class Sector:
     """One twisted sector: class data plus the linear geometry of V^g.
 
     terms holds the Molien route's (A_h, chi_h, weight) triples, A_h a
-    (d, N) pair and chi_h the int +-1: for a central class one per G-class
-    representative h, weighted by the class size, else one per centralizer
-    element in centralizer order, weighted 1.  restricted_action and
-    det_normal_char are the per-element tuples in centralizer order, made on
-    first read: from the terms for a non-central class, else from the
-    element routine of build_sector, which computes no element twice.
+    (d, N) pair and chi_h the int +-1, with weights summing to |Z(g)|: for a
+    central class one per G-class representative h, weighted by the class
+    size, else one per <g>-coset leader h (two when chi_g = -1).
+    restricted_action and det_normal_char are the per-element tuples in
+    centralizer order, made on first read from the element routine of
+    build_sector, which computes no element twice and is dropped after.
     _oracle holds the integer images that hkr.brute_force_invariants makes
-    for this sector; they live and die with it, and nothing else reads them.
+    for this sector until oracle_verdict drops them; nothing else reads them.
     """
 
     __slots__ = ("class_ref", "n", "fixed_basis", "c_g", "terms", "_element",
@@ -65,9 +65,8 @@ class Sector:
 
     def _tuples(self):
         if self._per_element is None:
-            data = (self.terms if self._element is None
-                    else map(self._element, self.class_ref.centralizer))
-            self._per_element = tuple(zip(*data))[:2]
+            self._per_element = tuple(zip(*map(self._element,
+                                               self.class_ref.centralizer)))
             self._element = None
         return self._per_element
 
@@ -111,10 +110,10 @@ def build_sector(G, cls, classes, complement=None):
     classes, the conjugacy classes of G, lets a central class (one member)
     take one term per G-class: every generator must preserve V^g, so all of
     G does, and then A_h and chi_h are class functions of G.  Any other class
-    takes one term per centralizer element: g is the identity on V^g, so
+    takes its terms from cls.cosets: g is the identity on V^g, so
     A_(g^k h) = A_h and chi_(g^k h) = chi_g^k chi_h, and the element routine
-    runs on g and on the first element of each <g>-coset, G.left(g) walking
-    the rest of the coset.
+    runs on g and on the first element h of each <g>-coset, which gives the
+    term (A_h, chi_h, order), or (A_h, +-chi_h, order / 2) when chi_g = -1.
     Raises ValueError for a wrong number of complement columns, NotInvertible
     when they are no complement and InternalError when a guard fails.
     """
@@ -167,20 +166,17 @@ def build_sector(G, cls, classes, complement=None):
         for table in G.right:  # table[0] is the generator itself
             element(table[0])
         terms = tuple(element(k.representative) + (len(k.members),) for k in classes)
-        return Sector(cls, n, tuple(fixed), c, terms, element)
-    # g is the identity on V^g and chi a character of Z(g), so g^k h has
-    # A_h and chi_g^k chi_h: one element computation per <g>-coset.  Both
-    # guards still cover g^k h: a product of maps that preserve V^g
-    # preserves it, and the normal determinant is multiplicative.
-    chi_g, left, data = element(cls.representative)[1], G.left(cls.representative), {}
-    for h in cls.centralizer:
-        if h not in data:
-            x, (A, chi) = h, element(h)
-            for _ in range(cls.order):
-                data[x] = A, chi, 1
-                x, chi = left[x], chi * chi_g
-    # a non-central sector's terms are its per-element data already
-    return Sector(cls, n, tuple(fixed), c, tuple(map(data.get, cls.centralizer)), None)
+    else:
+        # g is the identity on V^g and chi a character of Z(g), so g^k h has
+        # A_h and chi_g^k chi_h: one element computation per <g>-coset.  Both
+        # guards still cover g^k h: a product of maps that preserve V^g
+        # preserves it, and the normal determinant is multiplicative.  chi_g
+        # to the order of g is 1, so chi_g = -1 forces an even order and
+        # splits each coset into two halves with opposite characters.
+        signs = (1,) if element(cls.representative)[1] == 1 else (1, -1)
+        terms = tuple((A, s * chi, cls.order // len(signs))
+                      for A, chi in map(element, cls.cosets[::cls.order]) for s in signs)
+    return Sector(cls, n, tuple(fixed), c, terms, element)
 
 
 class KoszulReport:

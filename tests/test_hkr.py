@@ -354,7 +354,7 @@ def test_integer_row_sums_are_exact_for_keys_with_denominators():
     def sector(terms):
         f = len(terms[0][0][1])
         size = sum(w for _, _, w in terms)
-        cls = ConjClass(0, (0,), tuple(range(size)), 1)
+        cls = ConjClass(0, (0,), tuple(range(size)), 1, cosets=())
         basis = tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
         return sectors.Sector(cls, f, basis, 0, tuple(terms), None)
 
@@ -555,8 +555,11 @@ def test_class_terms_of_central_sectors_match_every_element(zoo_groups):
     for G in groups:
         classes = conjugacy_classes(G)
         for sec in _sectors(G):
-            if len(sec.class_ref.members) > 1:
-                assert [w for _, _, w in sec.terms] == [1] * len(sec.class_ref.centralizer)
+            cls = sec.class_ref
+            if len(cls.members) > 1:
+                # one or two terms per <g>-coset, weights summing to |Z(g)|
+                assert {w for _, _, w in sec.terms} <= {cls.order, cls.order // 2}
+                assert sum(w for _, _, w in sec.terms) == len(cls.centralizer)
                 continue
             central += 1
             assert len(sec.terms) == len(classes)
@@ -591,9 +594,10 @@ def test_b4_totals_do_not_change_when_the_generators_are_reversed():
 
 
 def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
-    # the class terms, the generator guard and the per-element tuples read
+    # the terms, the generator guard and the per-element tuples read
     # afterwards share one computation per element; a non-central sector
-    # makes one for g and one per <g>-coset of its centralizer
+    # makes one for g and one per <g>-coset of its centralizer, and reading
+    # the tuples makes one for each other centralizer element
     calls = []
     real = sectors.lowest_terms
     monkeypatch.setattr(sectors, "lowest_terms", lambda *a: calls.append(a) or real(*a))
@@ -605,14 +609,12 @@ def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
             if len(cls.members) == 1:
                 generators = {table[0] for table in G.right}
                 assert len(calls) == len(generators | {c.representative for c in classes})
-                want = len(cls.centralizer)
             else:
                 assert len(cls.centralizer) % cls.order == 0
-                want = len(cls.centralizer) // cls.order + 1
-                assert len(calls) == want
+                assert len(calls) == len(cls.centralizer) // cls.order + 1
             assert len(sec.restricted_action) == len(sec.det_normal_char) \
                 == len(cls.centralizer)
-            assert len(calls) == want
+            assert len(calls) == len(cls.centralizer)
 
 
 def test_b4_job_keys_and_elements_within_its_pins(monkeypatch):
@@ -638,41 +640,76 @@ def test_b4_job_keys_and_elements_within_its_pins(monkeypatch):
     assert 0 < counts["element"] <= 600
 
 
-def test_non_central_sectors_read_their_tuples_from_the_terms():
-    # a non-central class has one weight-1 term per centralizer element, in
-    # centralizer order, so the sector keeps no element routine beside them
+def test_every_sector_keeps_its_element_routine_until_the_first_read():
+    # the per-element tuples have one source, the element routine, which
+    # every sector keeps until they are first read and drops after
     for G in (generate(_b4(), 1000), _conjugate_group(B3, B3_BASIS)):
-        classes = conjugacy_classes(G)
-        non_central = [build_sector(G, cls, classes) for cls in classes
-                       if len(cls.members) > 1]
-        assert non_central
-        for sec in non_central:
-            assert sec._element is None
-            assert sec.restricted_action == tuple(pair for pair, _, _ in sec.terms)
-            assert sec.det_normal_char == tuple(chi for _, chi, _ in sec.terms)
+        secs = _sectors(G)
+        assert {len(sec.class_ref.members) > 1 for sec in secs} == {False, True}
+        for sec in secs:
+            assert sec._element is not None and sec._per_element is None
+            action = sec.restricted_action
+            assert sec._element is None and sec._per_element is not None
+            assert sec.restricted_action is action
+            assert len(sec.det_normal_char) == len(action) == len(sec.class_ref.centralizer)
+
+
+def _coset_groups(zoo_groups):
+    return list(zoo_groups.values()) + [generate(_b4(), 1000),
+                                        _conjugate_group(B3, B3_BASIS),
+                                        _conjugate_group(_adjacent_transpositions(4), DET8)]
+
+
+def test_cosets_walk_the_centralizer_by_left_multiplication(zoo_groups):
+    # checked by Fraction products, with no left table: a non-central class
+    # lists its centralizer as runs h, g h, ..., g^(order-1) h, each from its
+    # least index, the first one <g> from the identity
+    checked = 0
+    for G in _coset_groups(zoo_groups):
+        mats = [rational_matrix(*pair) for pair in G.elements]
+        index = {M: i for i, M in enumerate(mats)}
+        for cls in conjugacy_classes(G):
+            if len(cls.members) == 1:
+                assert cls.cosets == ()
+                continue
+            checked += 1
+            g, k = mats[cls.representative], cls.order
+            runs = [cls.cosets[i:i + k] for i in range(0, len(cls.cosets), k)]
+            assert sorted(cls.cosets) == list(cls.centralizer)
+            assert runs[0][:2] == (0, cls.representative)
+            for run in runs:
+                assert len(run) == k and run[0] == min(run)
+                assert [index[mat_mul(g, mats[h])] for h in run] == list(run[1:] + run[:1])
+    assert checked
+    # the sectors read the cosets and build no left table of their own
+    todo, names = [sectors.build_sector.__code__], set()
+    while todo:
+        code = todo.pop()
+        names.update(code.co_names)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    assert "cosets" in names and "left" not in names
 
 
 def test_coset_terms_match_every_element_by_conjugation(zoo_groups):
-    # a non-central sector computes one element per <g>-coset and derives
-    # the rest; its tuples must be those of B^-1 h B for every h, and its
-    # weighted (key, character) multiset the per-element one
-    groups = list(zoo_groups.values()) + [generate(_b4(), 1000),
-                                          _conjugate_group(B3, B3_BASIS),
-                                          _conjugate_group(_adjacent_transpositions(4), DET8)]
-    checked = 0
+    # every sector's weighted (key, character) multiset must be the one of
+    # its per-element tuples, and those must be the blocks of B^-1 h B for
+    # every h; the sectors with chi_g = -1 split each coset in two halves
+    groups = _coset_groups(zoo_groups)
+    non_central = odd = 0
     for G in groups:
         for sec in _sectors(G):
             cls = sec.class_ref
-            if len(cls.members) == 1:
-                continue
-            checked += 1
             pivots = rref(sec.fixed_basis)[1] if sec.fixed_basis else []
             default = [j for j in range(G.n) if j not in pivots]
             assert (sec.restricted_action, sec.det_normal_char) == \
                 _conjugation_blocks(G, cls, default), sec
             weighted, per_element = _weighted_and_per_element(sec)
             assert weighted == per_element, sec
-    assert checked > len(groups)
+            if len(cls.members) > 1:
+                non_central += 1
+                odd += sec.det_normal_char[cls.centralizer.index(cls.representative)] == -1
+    assert non_central > len(groups)
+    assert odd
 
 
 # the projector by columns ----------------------------------------------------------
@@ -845,18 +882,29 @@ def test_oracle_code_shares_nothing_with_molien():
 
 def test_oracle_builds_its_per_element_data_only_when_asked(monkeypatch):
     # the Molien tables read the weighted terms alone, so without --oracle no
-    # sector makes its per-element tuples; the oracle's sectors all do
-    built = []
-    real = hkr.build_sector
+    # sector makes its per-element tuples or oracle tables; the oracle's
+    # sectors make both, each its tables once, and drop the tables when
+    # their cells are checked
+    built, tabled = [], []
+    real, real_tables = hkr.build_sector, hkr._oracle_tables
+
+    def tables(sec):
+        if sec._oracle is None:
+            tabled.append(sec)
+        return real_tables(sec)
+
     monkeypatch.setattr(hkr, "build_sector", lambda *a: built.append(real(*a)) or built[-1])
+    monkeypatch.setattr(hkr, "_oracle_tables", tables)
     doc = {"command": "quotient", "t_max": 3,
            "generators": [[[str(x) for x in row] for row in g] for g in B3]}
     cli.run(cli.parse_jobspec(json.dumps(doc)))
     assert len(built) == 2 * len(conjugacy_classes(generate(B3, 1000)))
     assert all(sec._per_element is None and sec._oracle is None for sec in built)
+    assert not tabled
     built.clear()
     report = cli.run(cli.parse_jobspec(json.dumps(dict(doc, oracle=True))))
     assert report["oracle"]["agreement"] is True
     oracle_sectors = built[-len(report["sectors"]):]
-    assert all(sec._per_element is not None and sec._oracle is not None
+    assert sorted(map(id, tabled)) == sorted(map(id, oracle_sectors))
+    assert all(sec._per_element is not None and sec._oracle is None
                for sec in oracle_sectors)

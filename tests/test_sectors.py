@@ -255,7 +255,7 @@ def test_central_class_guard_checks_every_generator(tmp_path, capsys, monkeypatc
     # moves it, can see that the swap is not central
     G = generate(S3_PERM, 100)
     swap = _index(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    fake = ConjClass(swap, (swap,), tuple(range(G.order)), 2)
+    fake = ConjClass(swap, (swap,), tuple(range(G.order)), 2, cosets=())
     identity = conjugacy_classes(G)[0]
     with pytest.raises(InternalError, match="does not preserve the fixed subspace"):
         build_sector(G, fake, [identity, fake])
