@@ -195,23 +195,20 @@ def _quotient_report(job):
     G = generate(job.generators, job.cap)
     hom = full_report(G, job.t_max, "homology")
     coh = full_report(G, job.t_max, "cohomology")
-    sectors = []
-    for (sec, s), (_, s2) in zip(hom.sectors, coh.sectors):
-        sectors.append({
-            "class_size": len(sec.class_ref.members),
-            "centralizer_order": len(sec.class_ref.centralizer),
-            "fixed_dim": sec.fixed_dim,
-            "normal_codim": sec.c_g,
-            "HH": _series_table(s),
-            "HHcoh": _series_table(s2),
-        })
     report = {
         "command": "quotient",
         "version": __version__,
         "input": _echo(job),
         "group_order": G.order,
         "group_exponent": lcm(*(sec.class_ref.order for sec, _ in hom.sectors)),
-        "sectors": sectors,
+        "sectors": [{
+            "class_size": len(sec.class_ref.members),
+            "centralizer_order": len(sec.class_ref.centralizer),
+            "fixed_dim": sec.fixed_dim,
+            "normal_codim": sec.c_g,
+            "HH": _series_table(s),
+            "HHcoh": _series_table(s2),
+        } for (sec, s), (_, s2) in zip(hom.sectors, coh.sectors)],
         "HH": _series_table(hom.total),
         "HHcoh": _series_table(coh.total),
         "conventions": {"homology": hom.conventions,
@@ -219,6 +216,9 @@ def _quotient_report(job):
         "oracle": {"checked": False, "agreement": None,
                    "first_disagreement": None},
     }
+    # the reports' sectors keep their element routines and memos; the oracle
+    # builds sectors of its own, so it runs without them
+    del hom, coh
     if job.oracle:
         mismatch = oracle_verdict(G, job.t_max)
         report["oracle"] = {"checked": True, "agreement": mismatch is None,

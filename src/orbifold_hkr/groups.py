@@ -132,17 +132,21 @@ def generate(generators, cap=DEFAULT_CAP):
     Breadth-first closure under right multiplication by the generators, on
     the integer (d, N) pairs of exact.integer_form, which key the index and
     are kept as the elements; inverses come for free once the closure is
-    finite.  Raises NotInvertible on a singular generator, OrderCapExceeded
-    on an infinite-order generator, CapExceeded when the closure itself grows
-    past the cap, or past minkowski_bound(n), where the group is known to be
-    infinite.
+    finite.  Only the first copy of a repeated generator is kept, so right
+    has one table per distinct generator.  Raises NotInvertible on a singular
+    generator, OrderCapExceeded on an infinite-order generator, CapExceeded
+    when the closure itself grows past the cap, or past minkowski_bound(n),
+    where the group is known to be infinite.
     """
     n = _check_square(generators)
     bound = minkowski_bound(n)
+    distinct = {}  # a later copy of a generator adds no product to the closure
     for g in generators:
+        distinct.setdefault(integer_form(g), g)
+    for g in distinct.values():
         inverse_pair(g)  # raises NotInvertible on singular input
         element_order(g, cap)
-    gens = [integer_form(g) for g in generators]
+    gens = list(distinct)
     elements = [integer_form(mat_identity(n))]
     index = {elements[0]: 0}
     parents = [None]

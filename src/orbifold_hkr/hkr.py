@@ -18,12 +18,13 @@ Two independent routes to the same numbers:
     centralizer first acts in a reduced basis of its invariant lattice
     sum_h A_h Z^f (integer Hermite form, then LLL for the invariant form
     sum_h A_h^T A_h), where every matrix and its inverse is integral.  The
-    Sym^k images are built once, degree by degree, and the Lambda^p minors
-    once per p.  The projector is built by columns, skipping every column
-    that P rho(h) = chi_h P puts in the span of those built (one per orbit
-    for a signed-permutation action), and its distinct columns are ranked
-    exactly by the one elimination kernel of exact.  The work of every cell
-    is estimated from binomials and guarded before any image is built.
+    Sym^k images are built once, degree by degree, each distinct image kept
+    once per degree and shared by every element that has it, and the
+    Lambda^p minors once per p.  The projector is built by columns, skipping
+    every column that P rho(h) = chi_h P puts in the span of those built (one
+    per orbit for a signed-permutation action), and its distinct columns are
+    ranked exactly by the one elimination kernel of exact.  The work of every
+    cell is estimated from binomials and guarded before any image is built.
 
 The oracle shares no series or characteristic-polynomial code with the Molien
 path on purpose; agreement of the two is the correctness argument.
@@ -287,16 +288,17 @@ def _reduced_actions(sector):
 def _oracle_tables(sector):
     # the integer data of every centralizer element h, made once per sector
     # and kept on it, all in the reduced lattice basis of _reduced_actions:
-    # "dual" holds B_h = A_h^-1, the dual action, "sym"[k] the Sym^k images,
-    # and each mode the Lambda minors of C_h, C_h = B_h for forms and A_h^T
-    # for polyvectors
+    # "dual" holds B_h = A_h^-1, the dual action, "sym"[k] the degree-k level
+    # of _sym_images (the distinct Sym^k images, and per h the index of each
+    # monomial's image among them), and each mode the Lambda minors of C_h,
+    # C_h = B_h for forms and A_h^T for polyvectors
     if sector._oracle is None:
         f = sector.fixed_dim
         actions = _reduced_actions(sector)
         dual = [inverse_pair(A)[1] for A in actions]
         sector._oracle = {
             "dual": dual,
-            "sym": [[[{0: 1}] for _ in dual]],
+            "sym": [((((0,), (1,)),), [(0,)] * len(dual))],  # every h: 1 -> 1
             "forms": [_ext_minors(B, f) for B in dual],
             "polyvectors_twisted": [_ext_minors(transpose(A), f) for A in actions],
         }
@@ -304,9 +306,13 @@ def _oracle_tables(sector):
 
 
 def _sym_images(tables, f, k):
-    # per h, the image of each degree-k monomial (monomials(f, k) order) as
-    # {index of a degree-k monomial: integer coefficient}; the image of
-    # x^alpha is that of x^(alpha - e_i) times row i of B_h
+    # the degree-k level (images, refs): images holds each distinct Sym^k
+    # image once, as the pair (indices of its degree-k monomials in
+    # monomials(f, k) order, their integer coefficients), and refs[h][a] is
+    # the index in images of the image of monomial a under B_h.  The image of
+    # x^alpha is that of x^(alpha - e_i) times row i of B_h, so the parent's
+    # index and that row fix it: each distinct pair is expanded once, and an
+    # image equal to an earlier one is kept as that one's index
     levels = tables["sym"]
     while len(levels) <= k:
         lower = {m: i for i, m in enumerate(monomials(f, len(levels) - 1))}
@@ -317,18 +323,24 @@ def _sym_images(tables, f, k):
         for alpha in monos:
             i = next(i for i, a in enumerate(alpha) if a)
             steps.append((i, lower[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]))
-        level = []
-        for B, images in zip(tables["dual"], levels[-1]):
+        images_below, refs_below = levels[-1]
+        table, products, refs = {}, {}, []
+        for B, below in zip(tables["dual"], refs_below):
             out = []
             for i, parent in steps:
-                poly = {}
-                for b, cb in images[parent].items():
-                    for t, bt in zip(up[b], B[i]):
-                        if bt:
-                            poly[t] = poly.get(t, 0) + cb * bt
-                out.append({t: c for t, c in poly.items() if c})
-            level.append(out)
-        levels.append(level)
+                key = below[parent], B[i]
+                ref = products.get(key)
+                if ref is None:
+                    poly = {}
+                    for b, cb in zip(*images_below[below[parent]]):
+                        for t, bt in zip(up[b], B[i]):
+                            if bt:
+                                poly[t] = poly.get(t, 0) + cb * bt
+                    image = tuple(zip(*sorted((t, c) for t, c in poly.items() if c)))
+                    ref = products[key] = table.setdefault(image, len(table))
+                out.append(ref)
+            refs.append(tuple(out))
+        levels.append((tuple(table), refs))
     return levels[k]
 
 
@@ -386,7 +398,8 @@ def brute_force_invariants(sector, p, d, mode):
     tables = _oracle_tables(sector)
     chars = (sector.det_normal_char if mode == "polyvectors_twisted"
              else [1] * len(sector.class_ref.centralizer))
-    data = list(zip(chars, _sym_images(tables, f, deg), [m[p] for m in tables[mode]]))
+    images, refs = _sym_images(tables, f, deg)
+    data = list(zip(chars, refs, [m[p] for m in tables[mode]]))
     covered = [False] * dim  # the column lies in the span of the built ones
     columns = []
     for col in range(dim):
@@ -395,10 +408,10 @@ def brute_force_invariants(sector, p, d, mode):
         covered[col] = True
         a, i = divmod(col, ns)
         column = [0] * dim
-        for chi, images, minors in data:
-            image, targets = images[a], minors[i]
+        for chi, row, minors in data:
+            targets = minors[i]
             free = 0
-            for b, cb in image.items():
+            for b, cb in zip(*images[row[a]]):
                 base = b * ns
                 wc = chi * cb
                 for j, mj in targets:

@@ -3,19 +3,22 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbifold_hkr import cli, hkr
+from orbifold_hkr import cli, groups, hkr
 from orbifold_hkr.cli import (NonSquareMatrix, SchemaError, main, parse_jobspec,
                               render_json, render_table, run)
 from orbifold_hkr.exact import mat_det, mat_inv, mat_mul
 from orbifold_hkr.groups import OrderCapExceeded
 
-from conftest import B3, D4_CARTAN, ZOO, cartan_generators, m
+from conftest import (B3, C3_RAT, D4, D4_CARTAN, S3_PERM, SIGN_1D, ZOO,
+                      cartan_generators, m)
+from test_hkr import _b4
 
 from fractions import Fraction
 
@@ -437,6 +440,86 @@ def test_report_is_invariant_under_permuting_the_generators():
         want = _order_invariants(gens)
         for perm in permutations(range(len(gens))):
             assert _order_invariants(tuple(gens[i] for i in perm)) == want
+
+
+def _report_t6(gens, oracle=False):
+    doc = {"command": "quotient", "t_max": 6, "oracle": oracle,
+           "generators": [[[str(x) for x in row] for row in g] for g in gens]}
+    return run(parse_jobspec(json.dumps(doc)))
+
+
+def test_repeated_generators_are_closed_over_once(monkeypatch):
+    # each generator of B4 listed ten times: the echo keeps all 40, and the
+    # rest of the report is the plain B4 one, from one right table and one
+    # element_order call per distinct generator
+    made, orders = [], []
+    real_generate, real_order = cli.generate, groups.element_order
+    monkeypatch.setattr(cli, "generate", lambda *a: made.append(real_generate(*a)) or made[-1])
+    monkeypatch.setattr(groups, "element_order", lambda *a: orders.append(a[0]) or real_order(*a))
+    gens = _b4()
+    plain = _report_t6(gens)
+    repeated = _report_t6(tuple(g for g in gens for _ in range(10)))
+    assert len(repeated["input"]["generators"]) == 40
+    del plain["input"], repeated["input"]
+    assert render_json(repeated) == render_json(plain)
+    assert [G.order for G in made] == [384, 384]
+    assert [len(G.right) for G in made] == [4, 4]
+    assert orders == list(gens) * 2
+
+
+# products ---------------------------------------------------------------------------
+
+def _block_diagonal(gens1, gens2):
+    # G1 x G2 on V1 + V2: each g1 as g1 + I, each g2 as I + g2
+    n1, n2 = len(gens1[0]), len(gens2[0])
+
+    def block(g, at):
+        n, k = n1 + n2, len(g)
+        return tuple(tuple(g[i - at][j - at] if at <= i < at + k and at <= j < at + k
+                           else F(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(block(g, 0) for g in gens1) + tuple(block(g, n1) for g in gens2)
+
+
+def _product_table(a, b, t_max):
+    # the rendered tables as series in (u, t), multiplied and cut at t_max
+    a = [[F(a[p][d]) for d in sorted(a[p], key=int)] for p in sorted(a, key=int)]
+    b = [[F(b[p][d]) for d in sorted(b[p], key=int)] for p in sorted(b, key=int)]
+    out = [[F(0)] * (t_max + 1) for _ in range(len(a) + len(b) - 1)]
+    for p1, row1 in enumerate(a):
+        for p2, row2 in enumerate(b):
+            for d1, x in enumerate(row1):
+                for d2, y in enumerate(row2[:t_max + 1 - d1]):
+                    out[p1 + p2][d1 + d2] += x * y
+    return {str(p): {str(d): str(x) for d, x in enumerate(row)} for p, row in enumerate(out)}
+
+
+@pytest.mark.parametrize("gens1, gens2, oracle", [
+    (D4, S3_PERM, False),
+    (C3_RAT, SIGN_1D, True),
+    (D4, C3_RAT, False),
+], ids=["B2xS3", "C3xC2", "B2xC3"])
+def test_report_of_a_product_is_the_product_of_the_reports(gens1, gens2, oracle):
+    # the inertia stack of [V1 / G1] x [V2 / G2] is the product of theirs, and
+    # HKR is multiplicative: both totals are the products of the factors'
+    # totals, and the sectors are the pairs of sectors, with class sizes and
+    # centralizer orders multiplied, fixed dimensions and codimensions added
+    # and the sector tables multiplied
+    r1, r2 = _report_t6(gens1), _report_t6(gens2)
+    both = _report_t6(_block_diagonal(gens1, gens2), oracle)
+    assert both["group_order"] == r1["group_order"] * r2["group_order"]
+    for table in ("HH", "HHcoh"):
+        assert both[table] == _product_table(r1[table], r2[table], 6), table
+    pairs = Counter(json.dumps({
+        "class_size": s1["class_size"] * s2["class_size"],
+        "centralizer_order": s1["centralizer_order"] * s2["centralizer_order"],
+        "fixed_dim": s1["fixed_dim"] + s2["fixed_dim"],
+        "normal_codim": s1["normal_codim"] + s2["normal_codim"],
+        "HH": _product_table(s1["HH"], s2["HH"], 6),
+        "HHcoh": _product_table(s1["HHcoh"], s2["HHcoh"], 6),
+    }, sort_keys=True) for s1 in r1["sectors"] for s2 in r2["sectors"])
+    assert Counter(json.dumps(s, sort_keys=True) for s in both["sectors"]) == pairs
+    assert both["oracle"]["checked"] is oracle
+    assert both["oracle"]["agreement"] is (True if oracle else None)
 
 
 # dependencies ----------------------------------------------------------------------

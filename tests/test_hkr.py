@@ -716,14 +716,15 @@ def test_coset_terms_match_every_element_by_conjugation(zoo_groups):
 
 def _cell_elements(sec, p, d, mode):
     # one oracle cell from the oracle's own tables: its dimension, ns = the
-    # number of p-subsets and, per centralizer element h, (chi_h, the Sym
-    # images, the Lambda^p minors)
+    # number of p-subsets and, per centralizer element h, (chi_h, the shared
+    # Sym image of each monomial, the Lambda^p minors)
     deg, dim = hkr._cell_shape(sec, p, d, mode)
     tables = hkr._oracle_tables(sec)
     chars = (sec.det_normal_char if mode == "polyvectors_twisted"
              else [1] * len(sec.class_ref.centralizer))
+    images, refs = hkr._sym_images(tables, sec.fixed_dim, deg)
     return dim, comb(sec.fixed_dim, p), list(zip(
-        chars, hkr._sym_images(tables, sec.fixed_dim, deg), [m[p] for m in tables[mode]]))
+        chars, [[images[r] for r in row] for row in refs], [m[p] for m in tables[mode]]))
 
 
 def _rho(dim, ns, images, minors):
@@ -732,7 +733,7 @@ def _rho(dim, ns, images, minors):
     R = [[0] * dim for _ in range(dim)]
     for a, image in enumerate(images):
         for i, targets in enumerate(minors):
-            for b, cb in image.items():
+            for b, cb in zip(*image):
                 for j, mj in targets:
                     R[b * ns + j][a * ns + i] += cb * mj
     return R
@@ -749,17 +750,16 @@ def _dense_projector(dim, ns, elements):
     for a in range(dim // ns):
         groups = {}
         for (_, images, _), pairs in zip(elements, flat):
-            key = frozenset(images[a].items())
-            acc = groups.get(key)
+            acc = groups.get(images[a])
             if acc is None:
-                acc = groups[key] = [0] * (ns * ns)
+                acc = groups[images[a]] = [0] * (ns * ns)
             for k, x in pairs:
                 acc[k] += x
         for image, acc in groups.items():
             for k, x in enumerate(acc):
                 if x:
                     i, j = divmod(k, ns)
-                    for b, cb in image:
+                    for b, cb in zip(*image):
                         P[b * ns + j][a * ns + i] += cb * x
     return P
 
@@ -808,6 +808,54 @@ def test_oracle_by_columns_matches_the_dense_projector_in_root_bases():
         assert any(sum(map(bool, row)) > 1
                    for sec in secs for B in sec._oracle["dual"] for row in B)
 
+
+
+# the shared Sym images --------------------------------------------------------------
+
+def _per_element_images(B, f, t_max):
+    # per degree, the image of each monomial under y_i -> sum_j B[i][j] y_j as
+    # a dict {index of a monomial: coefficient}, each element expanded on its
+    # own: y^alpha is y^(alpha - e_i) times row i for the last i in alpha
+    levels, polys = [], {(0,) * f: {(0,) * f: 1}}
+    for k in range(t_max + 1):
+        index = {beta: b for b, beta in enumerate(monomials(f, k))}
+        for alpha in monomials(f, k) if k else ():
+            i = max(j for j, a in enumerate(alpha) if a)
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            polys[alpha] = _linear_substitute(polys[lower], B[i])
+        levels.append([{index[beta]: c for beta, c in polys[alpha].items() if c}
+                       for alpha in monomials(f, k)])
+    return levels
+
+
+def test_sym_images_are_shared_and_match_each_elements_expansion(zoo_groups):
+    # every element's images, read through the shared table, are its own
+    # expansion from tables["dual"], and images equal in value are one entry
+    # of their degree's table; a permutation action maps monomials to
+    # monomials, so S4's identity sector keeps 210 images through degree 6
+    # (the monomials of degree <= 6 in 4 variables), not 24 times as many
+    cases = [(G, 3) for G in zoo_groups.values()]
+    cases += [(_conjugate_group(B3, B3_BASIS), 4),
+              (_conjugate_group(_adjacent_transpositions(4), DET8), 4),
+              (generate(cartan_generators(B4_CARTAN), 1000), 4),
+              (generate(_adjacent_transpositions(4), 1000), 6)]
+    for G, t_max in cases:
+        for sec in _sectors(G):
+            f, tables = sec.fixed_dim, hkr._oracle_tables(sec)
+            expanded = [_per_element_images(B, f, t_max) for B in tables["dual"]]
+            for k in range(t_max + 1):
+                images, refs = hkr._sym_images(tables, f, k)
+                assert len(refs) == len(tables["dual"])
+                shared = {}
+                for row, levels in zip(refs, expanded):
+                    assert [dict(zip(*images[r])) for r in row] == levels[k], (sec, k)
+                    for r, image in zip(row, levels[k]):
+                        shared.setdefault(frozenset(image.items()), set()).add(r)
+                assert all(len(rs) == 1 for rs in shared.values()), (sec, k)
+                assert len(shared) == len(images), (sec, k)
+    identity = _sectors(generate(_adjacent_transpositions(4), 1000))[0]
+    tables = hkr._oracle_tables(identity)
+    assert sum(len(hkr._sym_images(tables, 4, k)[0]) for k in range(7)) == 210
 
 # the invariant lattice basis --------------------------------------------------------
 
