@@ -216,9 +216,7 @@ def _quotient_report(job):
         "oracle": {"checked": False, "agreement": None,
                    "first_disagreement": None},
     }
-    # the reports' sectors keep their element routines and memos; the oracle
-    # builds sectors of its own, so it runs without them
-    del hom, coh
+    del hom, coh  # the oracle builds sectors of its own
     if job.oracle:
         mismatch = oracle_verdict(G, job.t_max)
         report["oracle"] = {"checked": True, "agreement": mismatch is None,

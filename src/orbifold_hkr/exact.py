@@ -2,13 +2,13 @@
 
 Arbitrary-precision rationals (stdlib Fraction), dense linear algebra over Q,
 truncated series, and integer Smith normal form.  Everything is rational:
-characteristic polynomials come from Faddeev-LeVerrier traces, so no
-eigenvalue is ever needed.  Every value is immutable after construction; every
-function is pure.
+characteristic polynomials come from integer power sums by Newton's
+identities, so no eigenvalue is ever needed.  Every value is immutable and
+every function pure.
 
-There is one series expansion, det_series_factor: 1 / det(I - tM) from the
-integer key that elementary_symmetric makes of M's (d, N) pair.  BiSeries is
-the bigraded table the Molien sums are reported in; it only adds.
+There is one series expansion, det_series_factor: 1 / det(I - tM) in
+integers, from the key elementary_symmetric makes of M's power sums.
+BiSeries is the bigraded table the Molien sums are reported in; it only adds.
 
 There is one elimination loop, _echelon: fraction-free (Bareiss) Gauss-Jordan
 on integer-cleared rows.  rref, mat_rank, nullspace_basis, linear_solve,
@@ -261,29 +261,24 @@ def mat_det(A):
     return Fraction(s * rows[-1][pivots[-1]], t)
 
 
-def elementary_symmetric(pair):
-    """The integer key (D, A) of M = N / d, pair = (d, N): det(I - tM) =
-    sum A_k (t / D)^k with D > 0 the least denominator that makes every A_k
-    an integer, so e_k(M) = (-1)^k A_k / D^k and conjugates share the key.
+def elementary_symmetric(power_sums):
+    """The integer key (1, c_1, ..., c_f) of det(I - tA) = sum c_k t^k, so
+    e_k(A) = (-1)^k c_k, from the power sums p_j = tr(A^j), j <= f, of a
+    finite-order A by Newton's identities k c_k = -(p_1 c_(k-1) + ... +
+    p_k c_0); an inexact division or c_f = +-det A other than +-1 raises
+    InternalError.
 
-    Faddeev-LeVerrier on N, whose characteristic polynomial sum c_k x^(n-k) is
-    integral: det(I - tM) = sum c_k (t / d)^k, so D divides d (1 for finite order).
+    >>> elementary_symmetric((2, 2))  # the 2 x 2 identity: (1 - t)^2
+    (1, -2, 1)
     """
-    d, N = pair
-    n = len(N)
-    B = N
     coeffs = [1]
-    for k in range(1, n + 1):
-        # B = N (B + c I) after the first step; its trace gives the next c
-        c = -sum(B[i][i] for i in range(n)) // k
+    for k in range(1, len(power_sums) + 1):
+        c, r = divmod(-sum(map(mul, power_sums, reversed(coeffs))), k)
+        if r or k == len(power_sums) and c not in (1, -1):
+            raise InternalError("the power sums are no finite-order matrix's; "
+                                "this is a bug, not bad input")
         coeffs.append(c)
-        if k < n:
-            shifted = tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
-                            for i, row in enumerate(B))
-            B = int_mat_mul(N, shifted)
-    D = next(D for D in range(1, d + 1) if d % D == 0 and not any(
-        c * D ** k % d ** k for k, c in enumerate(coeffs)))
-    return D, tuple(c * D ** k // d ** k for k, c in enumerate(coeffs))
+    return tuple(coeffs)
 
 
 # truncated series --------------------------------------------------------
@@ -345,20 +340,16 @@ class BiSeries:
 
 
 def det_series_factor(key, t_max):
-    """1 / det(I - tM) to t^t_max, from the key (D, A) of elementary_symmetric.
+    """1 / det(I - tM) to t^t_max from the key c of elementary_symmetric: the
+    integers B_0 = 1, B_m = -(c_1 B_(m-1) + ... + c_f B_(m-f)).
 
-    det(I - tM) = sum A_k (t / D)^k, so the inverse is
-    sum B_m (t / D)^m with B_0 = 1 and B_m = -(A_1 B_(m-1) + ... +
-    A_n B_(m-n)): O(n t_max) integer steps.
-
-    >>> det_series_factor(elementary_symmetric((1, ((1,),))), 3)
-    (Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1))
+    >>> det_series_factor(elementary_symmetric((1,)), 3)
+    (1, 1, 1, 1)
     """
-    D, A = key
     B = [1]
     for m in range(1, t_max + 1):
-        B.append(-sum(A[k] * B[m - k] for k in range(1, min(m, len(A) - 1) + 1)))
-    return tuple(Fraction(b, D ** m) for m, b in enumerate(B))
+        B.append(-sum(key[k] * B[m - k] for k in range(1, min(m, len(key) - 1) + 1)))
+    return tuple(B)
 
 
 # integer Smith normal form ---------------------------------------------------

@@ -11,7 +11,8 @@ classes, centralizers and element orders come from such tables.
 
 from collections import namedtuple
 
-from .exact import int_mat_mul, integer_form, inverse_pair, lowest_terms, mat_identity
+from .exact import (InternalError, int_mat_mul, integer_form, inverse_pair, lowest_terms,
+                    mat_identity)
 
 DEFAULT_CAP = 100000
 
@@ -104,6 +105,7 @@ class MatrixGroup:
     every class representative downstream) is reproducible.  right[k][i] is
     the index of elements[i] times the k-th generator; parents[i] = (p, k)
     says that elements[i] = elements[p] times the k-th generator (i > 0).
+    traces[i] = sum N_ii / d, the trace of elements[i], must be an integer.
     """
 
     def __init__(self, n, elements, right, parents):
@@ -112,6 +114,11 @@ class MatrixGroup:
         self.order = len(elements)
         self.right = right
         self.parents = parents
+        traces = [divmod(sum(row[i] for i, row in enumerate(N)), d) for d, N in elements]
+        if any(r for _, r in traces):
+            raise InternalError("an element's trace is not an integer; "
+                                "this is a bug, not bad input")
+        self.traces = [t for t, _ in traces]
 
     def left(self, u):
         """Left-multiplication table of u: left(u)[x] is the index of
@@ -168,11 +175,9 @@ def generate(generators, cap=DEFAULT_CAP):
     return MatrixGroup(n, elements, right, parents)
 
 
-# one conjugacy class as element indices: the representative (its first
-# member), the sorted members, the sorted centralizer, the order of its
-# elements, and for a non-central class the centralizer as its <g>-cosets,
-# one after another: h, g h, ..., g^(order-1) h, each from its least index
-# (() for a central class, whose sector takes one term per G-class)
+# one conjugacy class as element indices: the representative g (its first
+# member), the sorted members and centralizer, the order of g, and the
+# centralizer as its <g>-cosets h, g h, ..., g^(order-1) h, each from its least index
 ConjClass = namedtuple("ConjClass", "representative members centralizer order cosets")
 
 
@@ -185,8 +190,8 @@ def conjugacy_classes(G):
     h^-1 g h = s^-1 (p^-1 g p) s, so one pass in closure order gives
     c[h] = h^-1 g h for every h: the class is the set of the c[h], sorted by
     index, and the centralizer the h with c[h] = g, so |class| * |centralizer|
-    = |G|.  The order of g and, for a non-central g, the <g>-cosets of the
-    centralizer are read off its left table.
+    = |G|.  The order of g and the <g>-cosets of the centralizer are read off
+    its left table.
     """
     conjugations = []
     for table in G.right:  # table[x] is x s, and table.index(0) is s^-1
@@ -206,7 +211,7 @@ def conjugacy_classes(G):
             x, order = power[x], order + 1
         centralizer = tuple(h for h, y in enumerate(c) if y == g)
         cosets = {}  # walked in centralizer order, so each from its least index
-        for h in centralizer if len(centralizer) < G.order else ():
+        for h in centralizer:
             while h not in cosets:
                 cosets[h], h = None, power[h]
         classes.append(ConjClass(g, tuple(sorted(set(c))), centralizer, order,

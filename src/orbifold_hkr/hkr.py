@@ -4,27 +4,22 @@ Two independent routes to the same numbers:
 
   * Molien averaging: centralizer element h contributes e_p(A_h) u^p times
     the t-series 1/det(I - t A_h), A_h its action on V^g, placed at t^p for
-    homology and with no t-power for cohomology.  Each table comes from one
-    set of rows, the average of e_p(A_h) / det(I - t A_h) over the
-    centralizer, read from the sector's weighted terms: one per G-class,
-    weighted by its size, when g is central, else one or two per <g>-coset.
-    The weights, signed by the character for cohomology, are summed per
-    distinct (d, N) pair A_h first; pairs and keys whose net weight cancels
-    are dropped, elementary_symmetric keys each other pair once and
-    det_series_factor expands each other key once, and the cells are summed
-    as integers over one common denominator.
+    homology and with no t-power for cohomology.  Both tables read the
+    sector's weighted terms, whose keys (the coefficients of det(I - t A_h))
+    come from traces of the closure, never from A_h.  The weights, signed by
+    the character for cohomology, are summed per key, each key that does not
+    cancel is expanded once, and each integer cell is divided by |Z(g)| once.
   * A brute-force oracle: explicit representation matrices on a monomial and
     exterior basis, then the rank of the averaging projector.  Each sector's
-    centralizer first acts in a reduced basis of its invariant lattice
-    sum_h A_h Z^f (integer Hermite form, then LLL for the invariant form
-    sum_h A_h^T A_h), where every matrix and its inverse is integral.  The
-    Sym^k images are built once, degree by degree, each distinct image kept
-    once per degree and shared by every element that has it, and the
-    Lambda^p minors once per p.  The projector is built by columns, skipping
-    every column that P rho(h) = chi_h P puts in the span of those built (one
-    per orbit for a signed-permutation action), and its distinct columns are
-    ranked exactly by the one elimination kernel of exact.  The work of every
-    cell is estimated from binomials and guarded before any image is built.
+    centralizer acts in a reduced basis of its invariant lattice sum_h A_h Z^f
+    (integer Hermite form, then LLL for the form sum_h A_h^T A_h), where every
+    matrix and its inverse is integral.  Each distinct Sym^k image is built
+    once per degree and shared, and the Lambda^p minors once per p.  The
+    projector is built by columns, skipping every column that
+    P rho(h) = chi_h P puts in the span of those built (one per orbit for a
+    signed-permutation action), and its distinct columns are ranked by the
+    one elimination kernel of exact.  The work of every cell is estimated
+    from binomials and guarded before any image is built.
 
 The oracle shares no series or characteristic-polynomial code with the Molien
 path on purpose; agreement of the two is the correctness argument.
@@ -43,8 +38,7 @@ from math import comb, lcm
 from operator import mul
 
 from .exact import (BiSeries, InternalError, QZERO, det_series_factor,
-                    elementary_symmetric, int_mat_mul, inverse_pair, mat_rank,
-                    transpose)
+                    int_mat_mul, inverse_pair, mat_rank, transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
 
@@ -85,46 +79,27 @@ class HHReport:
         return "HHReport(mode=%r, sectors=%d)" % (self.mode, len(self.sectors))
 
 
-def _check_integral(series):
-    for row in series.rows:
-        for v in row:
-            if v.denominator != 1 or v < 0:
-                raise InternalError(
-                    "averaged series has a non-integral or negative entry; "
-                    "this is a bug in the Molien pipeline")
-    return series
-
-
 def _molien_average(sector, t_max, twisted):
     # rows p = 0..f of the centralizer average of chi_h e_p(A_h) / det(I - t A_h),
-    # A_h the action on V^g and chi_h the det-of-normal character when twisted
-    # (else 1).  A term depends only on the key (D, A) of A_h, with
-    # e_p = (-1)^p A_p / D^p.  The terms' weights (class sizes for a central
-    # g), signed by chi, are summed per distinct pair; each pair and each key
-    # whose net weight does not cancel is keyed or expanded once.  The cells
-    # are integers over one multiple of every D^p and every series
-    # denominator, so they stay exact for any key, made Fractions at the end
+    # chi_h the det-of-normal character when twisted (else 1), e_p = (-1)^p c_p
+    # for the key c: the signed weights are summed per key, each key that does
+    # not cancel is expanded once, and each integer cell divided by |Z(g)|
     weights = Counter()
-    for pair, chi, weight in sector.terms:
-        weights[pair] += chi * weight if twisted else weight
-    keys = Counter()
-    for pair, weight in weights.items():
+    for key, chi, weight in sector.terms:
+        weights[key] += chi * weight if twisted else weight
+    sums = [[0] * (t_max + 1) for _ in range(sector.fixed_dim + 1)]
+    for key, weight in weights.items():
         if weight:
-            keys[elementary_symmetric(pair)] += weight
-    f = sector.fixed_dim
-    expanded = [(D, A, weight, det_series_factor((D, A), t_max))
-                for (D, A), weight in keys.items() if weight]
-    top = lcm(*[D ** f for D, *_ in expanded])
-    scale = lcm(*[x.denominator for *_, series in expanded for x in series])
-    sums = [[0] * (t_max + 1) for _ in range(f + 1)]
-    for D, A, weight, series in expanded:
-        scaled = [x.numerator * (scale // x.denominator) for x in series]
-        for p, (row, a) in enumerate(zip(sums, A)):
-            c = weight * (-a if p % 2 else a) * (top // D ** p)
-            if c:
-                row[:] = [s + c * x for s, x in zip(row, scaled)]
-    order = len(sector.class_ref.centralizer) * top * scale
-    return [[Fraction(s, order) for s in row] for row in sums]
+            series = det_series_factor(key, t_max)
+            for p, (row, c) in enumerate(zip(sums, key)):
+                if c:
+                    c *= -weight if p % 2 else weight
+                    row[:] = [s + c * x for s, x in zip(row, series)]
+    order = len(sector.class_ref.centralizer)
+    if any(s % order or s < 0 for row in sums for s in row):
+        raise InternalError("averaged series has a non-integral or negative entry; "
+                            "this is a bug in the Molien pipeline")
+    return [[s // order for s in row] for row in sums]
 
 
 def sector_hh_series(sector, t_max):
@@ -137,9 +112,8 @@ def sector_hh_series(sector, t_max):
     complex conjugation, which for roots of unity is inversion.
     """
     rows = _molien_average(sector, t_max, False)
-    return _check_integral(BiSeries(sector.fixed_dim, t_max,
-                                    [([QZERO] * p + row)[:t_max + 1]
-                                     for p, row in enumerate(rows)]))
+    return BiSeries(sector.fixed_dim, t_max,
+                    [([QZERO] * p + row)[:t_max + 1] for p, row in enumerate(rows)])
 
 
 def sector_hhcoh_series(sector, t_max):
@@ -151,8 +125,7 @@ def sector_hhcoh_series(sector, t_max):
     with A standing in for its inverse as in sector_hh_series.
     """
     rows = _molien_average(sector, t_max, True)
-    return _check_integral(BiSeries(sector.n, t_max,
-                                    [[QZERO] * (t_max + 1)] * sector.c_g + rows))
+    return BiSeries(sector.n, t_max, [[QZERO] * (t_max + 1)] * sector.c_g + rows)
 
 
 def _ext_minors(C, f):

@@ -5,10 +5,8 @@ fixed subspace V^g = ker(g - I), the determinant character of the centralizer
 on the normal directions (ints +-1) and the restricted centralizer action on
 V^g ((d, N) pairs in lowest terms), and two bigraded Hilbert series that
 realize the derived fixed locus (Koszul side) and its shifted-tangent model.
-The Molien route reads the action and the character as weighted terms: for a
-central g, V^g is G-stable and both are class functions of G, so there is one
-term per G-class, weighted by its size; otherwise g acts trivially on V^g and
-there is one term per <g>-coset of the centralizer (ConjClass.cosets).
+Only the brute-force oracle reads the action and the character: the Molien
+route's weighted terms come from the trace character of the closure alone.
 
 Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 (equivalently the Koszul exterior generators); that choice is what makes the
@@ -16,11 +14,11 @@ two series below agree bidegree by bidegree.
 """
 
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
-from .exact import (QZERO, QONE, InternalError, NotInvertible, int_mat_mul,
-                    integer_form, inverse_pair, lowest_terms, mat_det,
-                    mat_identity, mat_rank, mat_sub, nullspace_basis, rref)
+from .exact import (QZERO, QONE, InternalError, NotInvertible, elementary_symmetric,
+                    int_mat_mul, integer_form, inverse_pair, lowest_terms,
+                    mat_det, mat_identity, mat_rank, mat_sub, nullspace_basis, rref)
 
 
 def monomials(nvars, degree):
@@ -39,15 +37,11 @@ def monomials(nvars, degree):
 class Sector:
     """One twisted sector: class data plus the linear geometry of V^g.
 
-    terms holds the Molien route's (A_h, chi_h, weight) triples, A_h a
-    (d, N) pair and chi_h the int +-1, with weights summing to |Z(g)|: for a
-    central class one per G-class representative h, weighted by the class
-    size, else one per <g>-coset leader h (two when chi_g = -1).
-    restricted_action and det_normal_char are the per-element tuples in
-    centralizer order, made on first read from the element routine of
-    build_sector, which computes no element twice and is dropped after.
-    _oracle holds the integer images that hkr.brute_force_invariants makes
-    for this sector until oracle_verdict drops them; nothing else reads them.
+    terms holds the Molien route's weighted terms from _trace_terms.  Only
+    the oracle reads restricted_action and det_normal_char, the per-element
+    tuples in centralizer order, made on first read from build_sector's
+    element routine, which is dropped after, and _oracle, the integer images
+    that hkr.brute_force_invariants keeps until oracle_verdict drops them.
     """
 
     __slots__ = ("class_ref", "n", "fixed_basis", "c_g", "terms", "_element",
@@ -93,8 +87,8 @@ def build_sector(G, cls, classes, complement=None):
     V^g is the nullspace of N - d I, (d, N) = G.elements[g] for the
     representative g.  The normal complement is chosen from coordinate
     vectors off the pivot columns of the fixed basis unless an explicit column
-    list is passed; the determinant character lives on the quotient V/V^g so
-    the choice cannot matter (and a change-of-complement test holds it to that).
+    list is passed; the determinant character lives on the quotient V/V^g, so
+    the choice cannot matter.
 
     In the basis B = [F | e_c for c in the complement], F the fixed basis,
     h acts by [[A_h, *], [0, Q_h]]; the blocks are formed directly.  With P
@@ -106,16 +100,9 @@ def build_sector(G, cls, classes, complement=None):
     F_P^-1 = delta Psi / eps, with R = Phi[comp] Psi made once.  A_h is the
     pair (eps d, Psi (N Phi)[P]) in lowest terms, the same for every
     complement, and the character det(eps d Q_h) / (eps d)^c must be +-1.
-
-    classes, the conjugacy classes of G, lets a central class (one member)
-    take one term per G-class: every generator must preserve V^g, so all of
-    G does, and then A_h and chi_h are class functions of G.  Any other class
-    takes its terms from cls.cosets: g is the identity on V^g, so
-    A_(g^k h) = A_h and chi_(g^k h) = chi_g^k chi_h, and the element routine
-    runs on g and on the first element h of each <g>-coset, which gives the
-    term (A_h, chi_h, order), or (A_h, +-chi_h, order / 2) when chi_g = -1.
-    Raises ValueError for a wrong number of complement columns, NotInvertible
-    when they are no complement and InternalError when a guard fails.
+    Only the oracle's per-element tuples run this element routine; the terms
+    come from _trace_terms.  Raises ValueError for a wrong number of columns,
+    NotInvertible when they are no complement, InternalError on a failed guard.
     """
     d, N = G.elements[cls.representative]
     n = G.n
@@ -137,12 +124,9 @@ def build_sector(G, cls, classes, complement=None):
     # inverse_pair raises NotInvertible when comp is no complement
     eps, Psi = inverse_pair([Phi[i] for i in P])
     R = int_mat_mul([Phi[i] for i in comp], Psi)
-    known = {}
 
     def element(h):
-        # (A_h, chi_h) of element h, both guards checked, computed once per h
-        if h in known:
-            return known[h]
+        # (A_h, chi_h) of element h, both guards checked
         d, N = G.elements[h]
         NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
         X = [NPhi[i] for i in P]
@@ -158,25 +142,73 @@ def build_sector(G, cls, classes, complement=None):
             raise InternalError(
                 "the determinant of a centralizer element on the normal "
                 "directions is not +-1; this is a bug, not bad input")
-        known[h] = out = (lowest_terms(eps * d, int_mat_mul(Psi, X)),
-                          1 if det == unit else -1)
-        return out
+        return lowest_terms(eps * d, int_mat_mul(Psi, X)), 1 if det == unit else -1
 
-    if len(cls.members) == 1:
-        for table in G.right:  # table[0] is the generator itself
-            element(table[0])
-        terms = tuple(element(k.representative) + (len(k.members),) for k in classes)
-    else:
-        # g is the identity on V^g and chi a character of Z(g), so g^k h has
-        # A_h and chi_g^k chi_h: one element computation per <g>-coset.  Both
-        # guards still cover g^k h: a product of maps that preserve V^g
-        # preserves it, and the normal determinant is multiplicative.  chi_g
-        # to the order of g is 1, so chi_g = -1 forces an even order and
-        # splits each coset into two halves with opposite characters.
-        signs = (1,) if element(cls.representative)[1] == 1 else (1, -1)
-        terms = tuple((A, s * chi, cls.order // len(signs))
-                      for A, chi in map(element, cls.cosets[::cls.order]) for s in signs)
+    dets = [mat_det(N) / d ** n for d, N in (G.elements[t[0]] for t in G.right)]
+    if not set(dets) <= {1, -1}:
+        raise InternalError("a generator's determinant is not +-1; "
+                            "this is a bug, not bad input")
+    terms = _trace_terms(G, cls, classes, f, [int(x) for x in dets])
     return Sector(cls, n, tuple(fixed), c, terms, element)
+
+
+def _trace_terms(G, cls, classes, f, dets):
+    """The terms (key, chi_h, weight) of the sector of cls, in integers from
+    the trace character alone (Molien 1897), weights summing to |Z(g)|.
+    For x in Z(g), g of order m, psi(x) = (1/m) sum_k tr(g^k x) is the trace
+    of x on V^g, one average per <g>-coset, and psi(1) = f.  A term h (a
+    G-class representative, weighted by its size, when g commutes with every
+    generator; else a <g>-coset leader) has the power sums psi(h^j), j <= f,
+    walked along h's BFS word, Newton's key c of det(I - t A_h) and
+    chi_h = det_V(h) e_f, det_V(h) the product of dets along the word.  g is
+    the identity on V^g, so a coset shares A_h, and chi_g = -1 splits it into
+    halves of opposite characters.  Every division must be exact, psi(1) = f.
+    """
+    m, right, parents, g = cls.order, G.right, G.parents, cls.representative
+
+    def word(x):  # the generator indices k_1, ..., k_r of x = s_k1 ... s_kr
+        ks = []
+        while x:
+            x, k = parents[x]
+            ks.append(k)
+        return ks[::-1]
+
+    def times(x, ks):  # x s_k1 ... s_kr
+        for k in ks:
+            x = right[k][x]
+        return x
+
+    central = len(cls.members) == 1
+    if central and any(t[g] != times(t[0], word(g)) for t in right):
+        raise InternalError("a central class does not commute with every "
+                            "generator; this is a bug, not bad input")
+    psi = {}
+    for i in range(0, len(cls.cosets), m):
+        run = cls.cosets[i:i + m]
+        average, r = divmod(sum(G.traces[x] for x in run), m)
+        if r:
+            raise InternalError("a coset's trace average is not an integer; "
+                                "this is a bug, not bad input")
+        psi.update(dict.fromkeys(run, average))
+    if psi[0] != f:
+        raise InternalError("the trace average of <g> is %d, not the fixed "
+                            "dimension %d; this is a bug, not bad input" % (psi[0], f))
+    keys = {}  # one key per distinct tuple of power sums
+
+    def term(h):
+        ks, x, sums = word(h), 0, []
+        for _ in range(f):
+            x = times(x, ks)
+            sums.append(psi[x])
+        sums = tuple(sums)
+        key = keys[sums] = keys.get(sums) or elementary_symmetric(sums)
+        return key, (-1) ** f * key[-1] * prod(dets[k] for k in ks)
+
+    if central:
+        return tuple(term(k.representative) + (len(k.members),) for k in classes)
+    signs = (1,) if prod(dets[k] for k in word(g)) == 1 else (1, -1)
+    return tuple((key, s * chi, m // len(signs))
+                 for key, chi in map(term, cls.cosets[::m]) for s in signs)
 
 
 class KoszulReport:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -94,3 +95,15 @@ def fraction_gauss_jordan(A):
     if len(pivots) < len(rows):
         det = F(0)
     return rows, pivots, det
+
+
+def char_key(M):
+    """Reference coefficients (1, c_1, ..., c_n) of det(I - tM) = sum c_k t^k
+    for a Fraction matrix M with an integral characteristic polynomial, by
+    principal minors: c_k = (-1)^k times the sum of the k x k ones."""
+    n = len(M)
+    coeffs = [(-1) ** k * sum(fraction_gauss_jordan([[M[i][j] for j in I] for i in I])[2]
+                              for I in combinations(range(n), k)) if k else F(1)
+              for k in range(n + 1)]
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(int(c) for c in coeffs)

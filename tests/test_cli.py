@@ -350,7 +350,7 @@ def test_main_internal_error_exit_5(tmp_path, capsys, monkeypatch):
     # factor is off by a factor 3
     real = hkr.det_series_factor
     monkeypatch.setattr(hkr, "det_series_factor",
-                        lambda *a, **k: tuple(x / 3 for x in real(*a, **k)))
+                        lambda *a, **k: tuple(Fraction(x, 3) for x in real(*a, **k)))
     spec = tmp_path / "job.json"
     spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 3}')
     assert main(["quotient", "--spec", str(spec)]) == 5
@@ -363,31 +363,46 @@ def test_main_internal_error_exit_5(tmp_path, capsys, monkeypatch):
 # change of basis -------------------------------------------------------------------
 
 @st.composite
+def _signed_permutations(draw):
+    # one to three signed permutation matrices on A^n, n <= 4: they generate
+    # a finite group, a subgroup of B_n
+    n = draw(st.integers(1, 4))
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    drawn = draw(st.lists(st.tuples(st.permutations(range(n)), signs),
+                          min_size=1, max_size=3))
+    return tuple(m([[s[i] * (j == perm[i]) for j in range(n)] for i in range(n)])
+                 for perm, s in drawn)
+
+
+@st.composite
 def _zoo_conjugate(draw):
-    gens = ZOO[draw(st.sampled_from(sorted(ZOO)))]
+    # a zoo group at t_max 5 or a drawn signed permutation group at t_max 3,
+    # and a change of basis with entries in [-2, 2]
+    gens, t_max = draw(st.one_of(st.sampled_from(sorted(ZOO)).map(lambda k: (ZOO[k], 5)),
+                                 _signed_permutations().map(lambda g: (g, 3))))
     n = len(gens[0])
     row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
     P = draw(st.lists(row, min_size=n, max_size=n).map(m).filter(mat_det))
-    return gens, P
+    return gens, P, t_max
 
 
-def _report_without_input(gens):
-    doc = {"command": "quotient", "t_max": 5, "oracle": True,
+def _report_without_input(gens, t_max=5):
+    doc = {"command": "quotient", "t_max": t_max, "oracle": True,
            "generators": [[[str(x) for x in row] for row in g] for g in gens]}
     report = run(parse_jobspec(json.dumps(doc)))
     del report["input"]
     return render_json(report)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(_zoo_conjugate())
 def test_report_is_invariant_under_change_of_basis(case):
     # the closure visits the elements in the same order in any basis, so the
     # classes, sectors and tables come out byte for byte the same
-    gens, P = case
+    gens, P, t_max = case
     Pinv = mat_inv(P)
     conjugated = [mat_mul(mat_mul(P, g), Pinv) for g in gens]
-    assert _report_without_input(conjugated) == _report_without_input(gens)
+    assert _report_without_input(conjugated, t_max) == _report_without_input(gens, t_max)
 
 
 def test_d4_oracle_agrees_in_the_root_basis_and_a_signed_basis(tmp_path, capsys):
@@ -426,8 +441,8 @@ def test_report_is_invariant_under_duplicating_a_generator():
                 assert _report_without_input(gens[:j] + (gens[k],) + gens[j:]) == want
 
 
-def _order_invariants(gens):
-    report = json.loads(_report_without_input(gens))
+def _order_invariants(gens, t_max=5):
+    report = json.loads(_report_without_input(gens, t_max))
     sectors = sorted(json.dumps(s, sort_keys=True) for s in report.pop("sectors"))
     return report, sectors
 
@@ -440,6 +455,21 @@ def test_report_is_invariant_under_permuting_the_generators():
         want = _order_invariants(gens)
         for perm in permutations(range(len(gens))):
             assert _order_invariants(tuple(gens[i] for i in perm)) == want
+
+
+@settings(max_examples=10, deadline=None)
+@given(_signed_permutations(), st.randoms(use_true_random=False))
+def test_drawn_groups_match_the_oracle_for_any_generator_order(gens, rng):
+    # the Molien tables of a drawn signed permutation group agree with the
+    # oracle at t_max 3, and shuffling the generators and repeating one of
+    # them anywhere changes neither the verdict nor any table
+    want = _order_invariants(gens, 3)
+    assert want[0]["oracle"] == {"checked": True, "agreement": True,
+                                 "first_disagreement": None}
+    reordered = list(gens)
+    rng.shuffle(reordered)
+    reordered.insert(rng.randrange(len(reordered) + 1), rng.choice(gens))
+    assert _order_invariants(tuple(reordered), 3) == want
 
 
 def _report_t6(gens, oracle=False):

@@ -6,16 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbifold_hkr.exact import (BadRational, BiSeries, NotInvertible,
+from orbifold_hkr.exact import (BadRational, BiSeries, InternalError, NotInvertible,
                                 det_series_factor, elementary_symmetric,
                                 integer_form, linear_solve, lowest_terms,
                                 mat_det, mat_identity, mat_inv, mat_mul,
                                 mat_rank, nullspace_basis, parse_rational,
                                 rational_matrix, rref, smith_normal_form)
-from orbifold_hkr.groups import conjugacy_classes
+from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.sectors import build_sector
 
-from conftest import fraction_gauss_jordan, m
+from conftest import B3, B3_BASIS, fraction_gauss_jordan, m
 
 F = Fraction
 
@@ -42,25 +42,34 @@ def test_parse_format_round_trip(q):
 # truncated determinant series -------------------------------------------------
 
 def test_reciprocal_geometric_series():
-    s = det_series_factor(elementary_symmetric((1, ((1,),))), 3)
+    s = det_series_factor(elementary_symmetric((1,)), 3)
     assert s == (F(1), F(1), F(1), F(1))
 
 
 def test_reciprocal_identity_2x2():
-    s = det_series_factor(elementary_symmetric(integer_form(mat_identity(2))), 2)
+    s = det_series_factor(elementary_symmetric((2, 2)), 2)
     assert s == (F(1), F(2), F(3))
 
 
+def _power_sums(M):
+    # tr(M^j) for j = 1..n by Fraction products, each an integer here
+    sums, P = [], M
+    for _ in range(len(M)):
+        sums.append(sum((P[i][i] for i in range(len(M))), F(0)))
+        P = mat_mul(P, M)
+    assert all(x.denominator == 1 for x in sums)
+    return tuple(int(x) for x in sums)
+
+
 def _from_key(key):
-    # e_0, ..., e_n as Fractions from the key (D, A): e_k = (-1)^k A_k / D^k
-    D, A = key
-    return tuple(F(-a if k % 2 else a, D ** k) for k, a in enumerate(A))
+    # e_0, ..., e_n from the key (1, c_1, ..., c_n): e_k = (-1)^k c_k
+    return tuple(-c if k % 2 else c for k, c in enumerate(key))
 
 
 def test_elementary_symmetric_identity():
     # det(I - tI) = (1 - t)^2, so e = (1, 2, 1)
-    assert elementary_symmetric(integer_form(mat_identity(2))) == (1, (1, -2, 1))
-    assert _from_key((1, (1, -2, 1))) == (F(1), F(2), F(1))
+    assert elementary_symmetric(_power_sums(mat_identity(2))) == (1, -2, 1)
+    assert _from_key((1, -2, 1)) == (F(1), F(2), F(1))
 
 
 def _fraction_elementary_symmetric(M):
@@ -79,33 +88,35 @@ def _fraction_elementary_symmetric(M):
     return tuple(c if k % 2 == 0 else -c for k, c in enumerate(coeffs))
 
 
-def test_elementary_symmetric_matches_fraction_recursion(zoo_groups):
-    rng = random.Random(20261019)
-
-    def entry():
-        return F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 6))
-
-    # 0x0, a zero matrix, plain ints, then seeded rational matrices up to 6x6
-    cases = [(), m([[0] * 3] * 3), ((1, 2), (3, 4))]
-    cases += [[[entry() for _ in range(n)] for _ in range(n)]
-              for n in range(1, 7) for _ in range(30)]
+def _finite_order_cases(zoo_groups):
+    # every element and every restricted action of the zoo, the elements of
+    # B3 in a det-3 basis (entries with denominators), and the 0x0 matrix
+    b3 = generate(tuple(mat_mul(mat_mul(B3_BASIS, g), mat_inv(B3_BASIS)) for g in B3))
+    cases = [rational_matrix(*e) for G in list(zoo_groups.values()) + [b3]
+             for e in G.elements]
     for G in zoo_groups.values():
         classes = conjugacy_classes(G)
         for cls in classes:
             cases.extend(rational_matrix(*A)
                          for A in build_sector(G, cls, classes).restricted_action)
+    return cases + [()]
+
+
+def test_elementary_symmetric_matches_fraction_recursion(zoo_groups):
+    cases = _finite_order_cases(zoo_groups)
+    assert any(x.denominator > 1 for M in cases for row in M for x in row)
     for M in cases:
-        d, N = integer_form(M)
-        got = elementary_symmetric((d, N))
+        got = elementary_symmetric(_power_sums(M))
         assert _from_key(got) == _fraction_elementary_symmetric(M)
-        D, A = got
-        assert type(D) is int and all(type(x) is int for x in A)
-        # D is the least denominator that clears every coefficient, and a
-        # pair not in lowest terms has the same key
-        assert not any(all(F(a * E ** k, D ** k).denominator == 1
-                           for k, a in enumerate(A)) for E in range(1, D))
-        assert elementary_symmetric((2 * d, tuple(tuple(2 * x for x in row)
-                                                  for row in N))) == got
+        assert all(type(x) is int for x in got)
+
+
+def test_newton_guard_is_an_internal_error():
+    # power sums (1, 0) would need c_2 = 1/2, and those of [[2]] give
+    # det = 2: no matrix of finite order has either
+    for sums in ((1, 0), (2,)):
+        with pytest.raises(InternalError, match="power sums are no finite-order"):
+            elementary_symmetric(sums)
 
 
 def _padded_reciprocal(M, t_max):
@@ -127,19 +138,12 @@ def _padded_reciprocal(M, t_max):
 
 
 def test_reciprocal_matches_padded_recursion(zoo_groups):
-    rng = random.Random(20261020)
-    # every zoo element, some with non-integer entries, and seeded rational
-    # matrices whose coefficients have unrelated denominators
-    cases = [rational_matrix(*e) for G in zoo_groups.values() for e in G.elements]
-    cases += [(), m([[0] * 3] * 3)]
-    cases += [[[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
-               for _ in range(n)] for n in range(1, 5) for _ in range(3)]
-    for M in cases:
-        got = det_series_factor(elementary_symmetric(integer_form(M)), 300)
+    for M in _finite_order_cases(zoo_groups):
+        got = det_series_factor(elementary_symmetric(_power_sums(M)), 300)
         assert got == _padded_reciprocal(M, 300)
-        assert all(type(x) is Fraction for x in got)
+        assert all(type(x) is int for x in got)
     # the long one: order 2 at t_max 2000
-    got = det_series_factor(elementary_symmetric((1, ((-1,),))), 2000)
+    got = det_series_factor(elementary_symmetric((-1,)), 2000)
     assert got == _padded_reciprocal(m([[-1]]), 2000)
 
 
@@ -147,13 +151,11 @@ def test_reciprocal_times_polynomial_is_one(zoo_groups):
     # det(I - tM)^{-1} * det(I - tM) == 1 for finite-order M
     for G in zoo_groups.values():
         for g in G.elements[:6]:
-            D, A = key = elementary_symmetric(g)
+            key = elementary_symmetric(_power_sums(rational_matrix(*g)))
             rec = det_series_factor(key, 6)
-            poly = [F(a, D ** k) for k, a in enumerate(A)]
-            prod = tuple(sum((poly[k] * rec[d - k]
-                              for k in range(min(d, len(poly) - 1) + 1)), F(0))
+            prod = tuple(sum(key[k] * rec[d - k] for k in range(min(d, len(key) - 1) + 1))
                          for d in range(7))
-            assert prod == (F(1),) + (F(0),) * 6
+            assert prod == (1,) + (0,) * 6
 
 
 def test_lowest_terms_matches_integer_form():

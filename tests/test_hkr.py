@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from collections import Counter
 from itertools import combinations
@@ -8,17 +9,16 @@ from types import FunctionType
 import pytest
 
 from orbifold_hkr import cli, exact, hkr, sectors
-from orbifold_hkr.exact import (BiSeries, det_series_factor,
-                                elementary_symmetric, integer_form, mat_det,
-                                mat_inv, mat_mul, rational_matrix, rref, transpose)
-from orbifold_hkr.groups import ConjClass, conjugacy_classes, generate
+from orbifold_hkr.exact import (BiSeries, det_series_factor, mat_det, mat_inv,
+                                mat_mul, rational_matrix, rref, transpose)
+from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
                               oracle_verdict, sector_hh_series,
                               sector_hhcoh_series)
 from orbifold_hkr.sectors import build_sector, monomials
 
 from conftest import (B3, B3_BASIS, B4_CARTAN, D4_CARTAN, MINUS_I2, ROT4, S3_PERM,
-                      SIGN_1D, cartan_generators, fraction_gauss_jordan, m)
+                      SIGN_1D, cartan_generators, char_key, fraction_gauss_jordan, m)
 from test_sectors import _conjugation_blocks
 
 F = Fraction
@@ -255,9 +255,9 @@ def test_oracle_verdict_smoke():
 
 
 def _key_and_e(A):
-    # the key of the Fraction matrix A and its e_k = (-1)^k A_k / D^k
-    D, coeffs = key = elementary_symmetric(integer_form(A))
-    return key, [F(-a if k % 2 else a, D ** k) for k, a in enumerate(coeffs)]
+    # the reference key of the Fraction matrix A and its e_k = (-1)^k c_k
+    key = char_key(A)
+    return key, [F(-c if k % 2 else c) for k, c in enumerate(key)]
 
 
 def _per_element_hh(sec, t_max):
@@ -300,74 +300,35 @@ def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
 
 
 def test_molien_key_is_computed_once_per_term(zoo_groups, monkeypatch):
-    # each table sums the weights of its terms per pair A_h first, signed by
-    # the character for cohomology, and computes e(A_h) once per distinct
-    # pair whose net weight does not cancel, then expands det_series_factor
-    # from the keys, so no call comes from anywhere else
-    calls = []
-    real = exact.elementary_symmetric
-
-    def counted(M):
-        calls.append(M)
-        return real(M)
-
-    monkeypatch.setattr(hkr, "elementary_symmetric", counted)
-    monkeypatch.setattr(exact, "elementary_symmetric", counted)
+    # build_sector makes one key per distinct tuple of power sums, so one per
+    # distinct key of its terms; each table sums the weights of its terms per
+    # key, signed by the character for cohomology, and expands
+    # det_series_factor once per key whose net weight does not cancel, so no
+    # call comes from anywhere else
+    keyed, expanded = [], []
+    real_key, real_series = exact.elementary_symmetric, exact.det_series_factor
+    monkeypatch.setattr(sectors, "elementary_symmetric",
+                        lambda sums: keyed.append(sums) or real_key(sums))
+    monkeypatch.setattr(hkr, "det_series_factor",
+                        lambda key, t_max: expanded.append(key) or real_series(key, t_max))
     cancelled = 0
     for G in zoo_groups.values():
-        for sec in _sectors(G):
-            pairs = {pair for pair, _, _ in sec.terms}
+        classes = conjugacy_classes(G)
+        for cls in classes:
+            keyed.clear()
+            sec = build_sector(G, cls, classes)
+            keys = {key for key, _, _ in sec.terms}
+            assert len(keyed) == len(set(keyed)) == len(keys), sec
             net = Counter()
-            for pair, chi, weight in sec.terms:
-                net[pair] += chi * weight
-            signed = {pair for pair, weight in net.items() if weight}
-            cancelled += len(pairs - signed)
-            for series, want in ((sector_hh_series, pairs), (sector_hhcoh_series, signed)):
-                calls.clear()
+            for key, chi, weight in sec.terms:
+                net[key] += chi * weight
+            signed = {key for key, weight in net.items() if weight}
+            cancelled += len(keys - signed)
+            for series, want in ((sector_hh_series, keys), (sector_hhcoh_series, signed)):
+                expanded.clear()
                 series(sec, 6)
-                assert sorted(calls) == sorted(want), (sec, series)
+                assert sorted(expanded) == sorted(want), (sec, series)
     assert cancelled
-
-
-def _fraction_molien_rows(sec, t_max, twisted):
-    # the plain per-term Fraction sum: e_p(M) as the sum of principal p-minors
-    # and 1 / det(I - tM) inverted term by term, divided by the summed weights
-    f = sec.fixed_dim
-    rows = [[F(0)] * (t_max + 1) for _ in range(f + 1)]
-    for pair, chi, weight in sec.terms:
-        M = rational_matrix(*pair)
-        e = [sum((mat_det([[M[i][j] for j in I] for i in I]) if I else F(1))
-                 for I in combinations(range(f), p)) for p in range(f + 1)]
-        inverse = [F(1)]
-        for k in range(1, t_max + 1):
-            inverse.append(sum((-1) ** (j + 1) * e[j] * inverse[k - j]
-                               for j in range(1, min(k, f) + 1)))
-        for p in range(f + 1):
-            for d in range(t_max + 1):
-                rows[p][d] += (chi if twisted else 1) * weight * e[p] * inverse[d]
-    return [[x / len(sec.class_ref.centralizer) for x in row] for row in rows]
-
-
-def test_integer_row_sums_are_exact_for_keys_with_denominators():
-    # terms of infinite order, so D > 1 and the series entries have
-    # denominators: the one common denominator must keep every cell exact
-    def sector(terms):
-        f = len(terms[0][0][1])
-        size = sum(w for _, _, w in terms)
-        cls = ConjClass(0, (0,), tuple(range(size)), 1, cosets=())
-        basis = tuple(tuple(int(i == j) for j in range(f)) for i in range(f))
-        return sectors.Sector(cls, f, basis, 0, tuple(terms), None)
-
-    line = sector([((2, ((1,),)), -1, 1), ((1, ((1,),)), 1, 1), ((1, ((3,),)), 1, 2)])
-    plane = sector([((3, ((1, 1), (0, 2))), 1, 1), ((2, ((1, 0), (1, 1))), -1, 3),
-                    ((1, ((1, 0), (0, 1))), 1, 2)])
-    assert elementary_symmetric(plane.terms[0][0]) == (3, (1, -3, 2))
-    assert elementary_symmetric(plane.terms[1][0]) == (2, (1, -2, 1))
-    for sec in (line, plane):
-        for twisted in (False, True):
-            rows = hkr._molien_average(sec, 7, twisted)
-            assert rows == _fraction_molien_rows(sec, 7, twisted)
-            assert any(x.denominator > 1 for row in rows for x in row)
 
 
 # the oracle against its dense Fraction form ----------------------------------------
@@ -476,18 +437,19 @@ DET8 = m([[2, 0, 0, 2], [-2, 1, -1, -2], [-1, -2, 0, 1], [-1, 1, 2, -2]])
 @pytest.mark.parametrize("gens, P", [(B3, B3_BASIS), (_adjacent_transpositions(4), DET8)],
                          ids=["B3", "S4"])
 def test_molien_keys_and_sector_pairs_do_not_depend_on_the_basis(gens, P):
-    # conjugate elements have one characteristic polynomial, and the key
-    # takes the least denominator D, so the multiset of keys over the group
-    # does not change with the basis; with D the element's own denominator
-    # the conjugate's keys would differ
+    # conjugate elements have one characteristic polynomial, so the multiset
+    # of keys over the group does not change with the basis, and so do the
+    # terms of every sector: the closure visits the elements in the same
+    # order in any basis
     plain = generate(gens, 1000)
     conj = generate(tuple(mat_mul(mat_mul(P, g), mat_inv(P)) for g in gens), 1000)
-    keys = Counter(map(elementary_symmetric, plain.elements))
+    keys = Counter(char_key(rational_matrix(*e)) for e in plain.elements)
     assert any(d > 1 for d, _ in conj.elements)
-    assert Counter(map(elementary_symmetric, conj.elements)) == keys
+    assert Counter(char_key(rational_matrix(*e)) for e in conj.elements) == keys
+    assert [sec.terms for sec in _sectors(conj)] == [sec.terms for sec in _sectors(plain)]
     # finite order makes the characteristic polynomial integral
-    assert {D for D, _ in keys} == {1}
-    assert all(type(x) is int for _, A in keys for x in A)
+    assert all(type(x) is int for sec in _sectors(conj) for key, _, _ in sec.terms
+               for x in key)
     # every restricted action is a (d, N) pair in lowest terms and every
     # character is the int 1 or -1
     for G in (plain, conj):
@@ -534,11 +496,12 @@ def _b4():
 
 def _weighted_and_per_element(sec):
     # the (key, character) multiset of the sector's weighted terms, and the
-    # one over every centralizer element through the per-element tuples
+    # one over every centralizer element through the per-element tuples,
+    # each key a reference characteristic polynomial of A_h in Fractions
     weighted = Counter()
-    for pair, chi, weight in sec.terms:
-        weighted[elementary_symmetric(pair), chi] += weight
-    per_element = Counter(zip(map(elementary_symmetric, sec.restricted_action),
+    for key, chi, weight in sec.terms:
+        weighted[key, chi] += weight
+    per_element = Counter(zip((char_key(rational_matrix(*A)) for A in sec.restricted_action),
                               sec.det_normal_char))
     return weighted, per_element
 
@@ -594,10 +557,9 @@ def test_b4_totals_do_not_change_when_the_generators_are_reversed():
 
 
 def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
-    # the terms, the generator guard and the per-element tuples read
-    # afterwards share one computation per element; a non-central sector
-    # makes one for g and one per <g>-coset of its centralizer, and reading
-    # the tuples makes one for each other centralizer element
+    # the terms come from traces, so building a sector computes no element
+    # data; the first read of the per-element tuples computes each
+    # centralizer element's once, for both tuples
     calls = []
     real = sectors.lowest_terms
     monkeypatch.setattr(sectors, "lowest_terms", lambda *a: calls.append(a) or real(*a))
@@ -606,12 +568,7 @@ def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
         for cls in classes:
             calls.clear()
             sec = build_sector(G, cls, classes)
-            if len(cls.members) == 1:
-                generators = {table[0] for table in G.right}
-                assert len(calls) == len(generators | {c.representative for c in classes})
-            else:
-                assert len(cls.centralizer) % cls.order == 0
-                assert len(calls) == len(cls.centralizer) // cls.order + 1
+            assert calls == []
             assert len(sec.restricted_action) == len(sec.det_normal_char) \
                 == len(cls.centralizer)
             assert len(calls) == len(cls.centralizer)
@@ -619,25 +576,27 @@ def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
 
 def test_b4_job_keys_and_elements_within_its_pins(monkeypatch):
     # the whole B4 job at t_max 10, both tables: 1200 keys and 1208 element
-    # computations when every centralizer element took its own
+    # computations when every centralizer element took its own; the keys now
+    # come from traces, one per distinct tuple of power sums in each sector,
+    # and no element routine runs without --oracle
     counts = Counter()
-    real_key, real_pair = hkr.elementary_symmetric, sectors.lowest_terms
+    real_key, real_pair = sectors.elementary_symmetric, sectors.lowest_terms
 
-    def key(pair):
+    def key(sums):
         counts["key"] += 1
-        return real_key(pair)
+        return real_key(sums)
 
     def element(*a):
         counts["element"] += 1
         return real_pair(*a)
 
-    monkeypatch.setattr(hkr, "elementary_symmetric", key)
+    monkeypatch.setattr(sectors, "elementary_symmetric", key)
     monkeypatch.setattr(sectors, "lowest_terms", element)
     doc = {"command": "quotient", "t_max": 10,
            "generators": [[[str(x) for x in row] for row in g] for g in _b4()]}
     cli.run(cli.parse_jobspec(json.dumps(doc)))
     assert 0 < counts["key"] <= 400
-    assert 0 < counts["element"] <= 600
+    assert counts["element"] == 0
 
 
 def test_every_sector_keeps_its_element_routine_until_the_first_read():
@@ -660,34 +619,72 @@ def _coset_groups(zoo_groups):
                                         _conjugate_group(_adjacent_transpositions(4), DET8)]
 
 
+def _code_names(fn):
+    # every name fn's code reads, with its nested code and, in turn, every
+    # function of its own module that it names
+    module = sys.modules[fn.__module__]
+    seen, names, todo = set(), set(), [fn.__code__]
+    while todo:
+        code = todo.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+        todo.extend(v.__code__ for n, v in vars(module).items()
+                    if n in code.co_names and isinstance(v, FunctionType)
+                    and v.__module__ == module.__name__)
+    return names
+
+
 def test_cosets_walk_the_centralizer_by_left_multiplication(zoo_groups):
-    # checked by Fraction products, with no left table: a non-central class
-    # lists its centralizer as runs h, g h, ..., g^(order-1) h, each from its
-    # least index, the first one <g> from the identity
-    checked = 0
+    # checked by Fraction products, with no left table: every class lists
+    # its centralizer as runs h, g h, ..., g^(order-1) h, each from its least
+    # index, the first one <g> from the identity; a central class walks all
+    # of G
+    central = 0
     for G in _coset_groups(zoo_groups):
         mats = [rational_matrix(*pair) for pair in G.elements]
         index = {M: i for i, M in enumerate(mats)}
         for cls in conjugacy_classes(G):
-            if len(cls.members) == 1:
-                assert cls.cosets == ()
-                continue
-            checked += 1
+            central += len(cls.members) == 1
             g, k = mats[cls.representative], cls.order
             runs = [cls.cosets[i:i + k] for i in range(0, len(cls.cosets), k)]
             assert sorted(cls.cosets) == list(cls.centralizer)
-            assert runs[0][:2] == (0, cls.representative)
+            assert runs[0][:2] == (0, cls.representative)[:k]
             for run in runs:
                 assert len(run) == k and run[0] == min(run)
                 assert [index[mat_mul(g, mats[h])] for h in run] == list(run[1:] + run[:1])
-    assert checked
+    assert central > len(_coset_groups(zoo_groups))
     # the sectors read the cosets and build no left table of their own
-    todo, names = [sectors.build_sector.__code__], set()
-    while todo:
-        code = todo.pop()
-        names.update(code.co_names)
-        todo.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    names = _code_names(sectors.build_sector)
     assert "cosets" in names and "left" not in names
+
+
+def test_molien_route_reads_no_element_data():
+    # the Molien tables come from traces and the closure tree alone: neither
+    # build_sector's term code nor _molien_average names the element
+    # routine, the per-element tuples or the matrix kernels behind them
+    banned = {"_element", "element", "int_mat_mul", "mat_det", "nullspace_basis",
+              "restricted_action", "det_normal_char", "lowest_terms"}
+    terms, average = _code_names(sectors._trace_terms), _code_names(hkr._molien_average)
+    assert "_trace_terms" in _code_names(sectors.build_sector)
+    assert "cosets" in terms and "elementary_symmetric" in terms
+    assert "terms" in average and "det_series_factor" in average
+    assert not terms & banned and not average & banned
+
+
+def test_newton_keys_match_a_fraction_characteristic_polynomial(zoo_groups):
+    # every sector's weighted terms are the (characteristic polynomial of
+    # A_h, chi_h) multiset of its centralizer, each polynomial made in
+    # Fractions from the oracle's per-element tuples, in permutation,
+    # rational and root bases
+    groups = _coset_groups(zoo_groups) + [generate(cartan_generators(B4_CARTAN), 1000)]
+    for G in groups:
+        for sec in _sectors(G):
+            weighted, per_element = _weighted_and_per_element(sec)
+            assert weighted == per_element, sec
+            assert {len(key) for key, _, _ in sec.terms} == {sec.fixed_dim + 1}
 
 
 def test_coset_terms_match_every_element_by_conjugation(zoo_groups):

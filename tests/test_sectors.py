@@ -10,7 +10,7 @@ from orbifold_hkr.exact import (InternalError, NotInvertible, integer_form,
                                 mat_det, mat_identity, mat_inv, mat_mul,
                                 mat_rank, mat_sub, mat_vec, nullspace_basis,
                                 rational_matrix, rref)
-from orbifold_hkr.groups import ConjClass, conjugacy_classes, generate
+from orbifold_hkr.groups import ConjClass, MatrixGroup, conjugacy_classes, generate
 from orbifold_hkr.sectors import (build_sector, derived_fixed_hilbert, monomials,
                                   shifted_tangent_hilbert)
 
@@ -175,11 +175,14 @@ def test_block_formulas_match_conjugation_by_b(zoo_groups):
 def test_fixed_subspace_guard_is_an_internal_error(monkeypatch):
     G = generate(S3_PERM, 100)
     cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    # span(e_1, e_3) is not fixed by the swap, which moves e_1 to e_2
+    # span(e_1, e_3) is not fixed by the swap, which moves e_1 to e_2; it has
+    # the right dimension, so the terms are made, and the per-element guard
+    # fires when the oracle reads the tuples
     monkeypatch.setattr(sectors, "nullspace_basis",
                         lambda A: [m([[1, 0, 0]])[0], m([[0, 0, 1]])[0]])
+    sec = build_sector(G, cls, conjugacy_classes(G))
     with pytest.raises(InternalError, match="does not preserve the fixed subspace"):
-        build_sector(G, cls, conjugacy_classes(G))
+        sec.restricted_action
 
 
 # Koszul homology of (g - I) ---------------------------------------------------
@@ -241,23 +244,24 @@ def test_derived_equals_shifted_across_zoo(zoo_groups):
 def test_normal_character_guard_is_an_internal_error(monkeypatch):
     G = generate(S3_PERM, 100)
     cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    # det(eps d Q_h) off by one is no longer +-(eps d)^c, so no character +-1
+    # det(eps d Q_h) off by one is no longer +-(eps d)^c, so no character +-1;
+    # the guard fires when the oracle reads the per-element tuples
+    sec = build_sector(G, cls, conjugacy_classes(G))
     real = sectors.mat_det
     monkeypatch.setattr(sectors, "mat_det", lambda A: real(A) + 1)
     with pytest.raises(InternalError, match="normal directions is not"):
-        build_sector(G, cls, conjugacy_classes(G))
+        sec.det_normal_char
 
 
 def test_central_class_guard_checks_every_generator(tmp_path, capsys, monkeypatch):
-    # a hand-built class claims that the swap of x_1 and x_2 is central; its
-    # class representatives, the identity and the swap, preserve the fixed
-    # plane x_1 = x_2, so only the check on the generators, whose 3-cycle
-    # moves it, can see that the swap is not central
+    # a hand-built class claims that the swap of x_1 and x_2 is central; it
+    # commutes with itself but not with the 3-cycle, and the index check on
+    # every generator sees that before any term is made
     G = generate(S3_PERM, 100)
     swap = _index(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     fake = ConjClass(swap, (swap,), tuple(range(G.order)), 2, cosets=())
     identity = conjugacy_classes(G)[0]
-    with pytest.raises(InternalError, match="does not preserve the fixed subspace"):
+    with pytest.raises(InternalError, match="does not commute with every generator"):
         build_sector(G, fake, [identity, fake])
     # through the CLI the guard is exit 5, one line on stderr and no report
     monkeypatch.setattr(hkr, "conjugacy_classes", lambda G: [fake] + conjugacy_classes(G))
@@ -268,5 +272,48 @@ def test_central_class_guard_checks_every_generator(tmp_path, capsys, monkeypatc
     assert main(["quotient", "--spec", str(spec)]) == 5
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: centralizer element does not preserve")
+    assert err.startswith("internal error: a central class does not commute")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# guards of the trace route -----------------------------------------------------
+
+def test_generator_determinant_guard_is_an_internal_error(monkeypatch):
+    # generator determinants twice too large
+    G, swap = generate(S3_PERM, 100), [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    real = sectors.mat_det
+    monkeypatch.setattr(sectors, "mat_det", lambda A: 2 * real(A))
+    with pytest.raises(InternalError, match="generator's determinant is not"):
+        _sector_of(G, swap)
+
+
+def test_trace_guard_is_an_internal_error():
+    # the identity of S3 stored as the pair (2, I) reads as I / 2, whose
+    # trace 3/2 is no integer
+    G = generate(S3_PERM, 100)
+    elements = ((2, G.elements[0][1]),) + G.elements[1:]
+    with pytest.raises(InternalError, match="trace is not an integer"):
+        MatrixGroup(G.n, elements, G.right, G.parents)
+
+
+def test_coset_average_guard_is_an_internal_error(monkeypatch):
+    # the square -I of the rotation by a quarter turn read with trace -1: the
+    # coset {I, -I} of <-I> has traces 2 and -1, whose average is no integer
+    G = generate(ROT4, 100)
+    cls = _class_of(G, [[-1, 0], [0, -1]])
+    traces = list(G.traces)
+    traces[cls.representative] = -1
+    monkeypatch.setattr(G, "traces", traces)
+    with pytest.raises(InternalError, match="trace average is not an integer"):
+        build_sector(G, cls, conjugacy_classes(G))
+
+
+def test_fixed_dimension_guard_is_an_internal_error(monkeypatch):
+    # a fixed basis one vector short disagrees with the trace average of <g>
+    G = generate(SIGN_1D, 100)
+    classes = conjugacy_classes(G)
+    real = sectors.nullspace_basis
+    monkeypatch.setattr(sectors, "nullspace_basis", lambda A: real(A)[1:])
+    with pytest.raises(InternalError, match="trace average of <g> is 1, not the "
+                                            "fixed dimension 0"):
+        build_sector(G, classes[0], classes)
