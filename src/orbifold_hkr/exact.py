@@ -286,15 +286,15 @@ def elementary_symmetric(power_sums):
 class BiSeries:
     """Bigraded coefficient table: polynomial in u, series in t cut at t_max.
 
-    rows[p][d] is the coefficient of u^p t^d, 0 <= p <= u_max, 0 <= d <= t_max.
-    Sums pad the summand with fewer u degrees by zero rows.
+    rows[p][d] is the coefficient of u^p t^d, 0 <= p <= u_max, 0 <= d <= t_max,
+    kept as the exact value given (an int or a Fraction; the Molien tables
+    give ints).  Sums pad the summand with fewer u degrees by zero rows.
     """
 
     __slots__ = ("u_max", "t_max", "rows")
 
     def __init__(self, u_max, t_max, rows):
-        rs = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                   for row in rows)
+        rs = tuple(map(tuple, rows))
         if len(rs) != u_max + 1 or any(len(r) != t_max + 1 for r in rs):
             raise ValueError("rows must form a (u_max+1) x (t_max+1) rectangle")
         self.u_max = u_max

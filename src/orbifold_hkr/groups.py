@@ -2,17 +2,20 @@
 
 An element is its index in closure order, and the matrix behind index i is
 the integer pair elements[i] = (d, N) of exact.integer_form, M = N / d.
-The breadth-first closure is the only place that multiplies those pairs; it
-keeps each generator's right-multiplication table and each element's BFS
-parent.  Every other product is an index lookup: an element's
-left-multiplication table is read off the closure tree, and conjugacy
-classes, centralizers and element orders come from such tables.
+No two matrices are multiplied: the generators permute the orbit Omega of the
+standard row vectors, and the breadth-first closure permutes the tuples of
+Omega-indices of the elements' rows (Seress, Permutation Group Algorithms,
+2.1), keeping each generator's right table and each element's BFS parent.
+An element's left-multiplication table is read off the closure tree, and
+conjugacy classes, centralizers and element orders come from such tables.
 """
 
 from collections import namedtuple
+from functools import partial
+from math import gcd, lcm
+from operator import mul
 
-from .exact import (InternalError, int_mat_mul, integer_form, inverse_pair, lowest_terms,
-                    mat_identity)
+from .exact import InternalError, integer_form, inverse_pair, mat_det
 
 DEFAULT_CAP = 100000
 
@@ -74,26 +77,54 @@ def minkowski_bound(n):
     return bound
 
 
-def _product(a, b):
-    return lowest_terms(a[0] * b[0], int_mat_mul(a[1], b[1]))
+def _times(d, cols, row):
+    # the row pair (e, x), the vector x / e, times N / d, N given by its
+    # columns, as a row pair in lowest terms
+    e, x = row
+    y = tuple(sum(map(mul, x, col)) for col in cols)
+    g = gcd(e * d, *y)
+    return e * d // g, tuple(v // g for v in y)
 
 
 def element_order(M, cap=DEFAULT_CAP):
-    """Multiplicative order of M; OrderCapExceeded past the cap, or past
-    max_finite_order(n), where the order is known to be infinite."""
+    """Multiplicative order of M, the lcm of the lengths of the orbits of the
+    standard row vectors under x -> x M; OrderCapExceeded past the cap, or
+    past max_finite_order(n), where the order is known to be infinite."""
     n = len(M)
     bound = max_finite_order(n)
-    ident = integer_form(mat_identity(n))
-    P = M = integer_form(M)
-    k = 1
-    while P != ident:
-        P = _product(P, M)
-        k += 1
-        if k > bound:
-            raise OrderCapExceeded("element has infinite order")
-        if k > cap:
-            raise OrderCapExceeded("element order exceeds cap %d" % cap)
-    return k
+    d, N = integer_form(M)
+    cols, order = tuple(zip(*N)), 1
+    for i in range(n):
+        start = (1, tuple(int(i == j) for j in range(n)))
+        x, k = _times(d, cols, start), 1
+        while x != start:
+            x, k = _times(d, cols, x), k + 1
+            if k > min(bound, cap):
+                raise OrderCapExceeded("element has infinite order" if bound <= cap
+                                       else "element order exceeds cap %d" % cap)
+        order = lcm(order, k)
+    if order > cap:
+        raise OrderCapExceeded("element order exceeds cap %d" % cap)
+    return order
+
+
+def _closure(start, maps, limit, too_large):
+    # breadth-first closure of start under maps: the points, each map's table
+    # and each point's parent (i, k), point = maps[k](points[i])
+    points, parents = list(start), [None] * len(start)
+    index = {x: i for i, x in enumerate(points)}
+    tables = [[] for _ in maps]
+    for i, x in enumerate(points):  # points grows behind i, a BFS queue
+        for k, f in enumerate(maps):
+            y = f(x)
+            if y not in index:
+                index[y] = len(points)
+                points.append(y)
+                parents.append((i, k))
+                if len(points) > limit:
+                    raise CapExceeded(too_large)
+            tables[k].append(index[y])
+    return points, tables, parents
 
 
 class MatrixGroup:
@@ -106,6 +137,8 @@ class MatrixGroup:
     the index of elements[i] times the k-th generator; parents[i] = (p, k)
     says that elements[i] = elements[p] times the k-th generator (i > 0).
     traces[i] = sum N_ii / d, the trace of elements[i], must be an integer.
+    det_v[i] = det elements[i], the product along its BFS word of the
+    generators' determinants, each read once and required to be +-1.
     """
 
     def __init__(self, n, elements, right, parents):
@@ -119,6 +152,14 @@ class MatrixGroup:
             raise InternalError("an element's trace is not an integer; "
                                 "this is a bug, not bad input")
         self.traces = [t for t, _ in traces]
+        dets = [mat_det(N) / d ** n for d, N in (self.elements[t[0]] for t in right)]
+        if not set(dets) <= {1, -1}:
+            raise InternalError("a generator's determinant is not +-1; "
+                                "this is a bug, not bad input")
+        dets = [int(x) for x in dets]
+        self.det_v = [1]
+        for p, k in parents[1:]:
+            self.det_v.append(self.det_v[p] * dets[k])
 
     def left(self, u):
         """Left-multiplication table of u: left(u)[x] is the index of
@@ -136,43 +177,41 @@ class MatrixGroup:
 def generate(generators, cap=DEFAULT_CAP):
     """Enumerate the group generated by exact rational matrices.
 
-    Breadth-first closure under right multiplication by the generators, on
-    the integer (d, N) pairs of exact.integer_form, which key the index and
-    are kept as the elements; inverses come for free once the closure is
-    finite.  Only the first copy of a repeated generator is kept, so right
-    has one table per distinct generator.  Raises NotInvertible on a singular
-    generator, OrderCapExceeded on an infinite-order generator, CapExceeded
-    when the closure itself grows past the cap, or past minkowski_bound(n),
-    where the group is known to be infinite.
+    Breadth-first closure under right multiplication by the generators, as
+    permutations of Omega (its rows integer pairs (e, x) in lowest terms);
+    the elements are kept as the (d, N) pairs of exact.integer_form.  Only
+    the first copy of a repeated generator is kept, so right has one table
+    per distinct generator.  Raises NotInvertible on a singular generator,
+    OrderCapExceeded on an infinite-order generator, CapExceeded when the
+    closure grows past the cap, or past minkowski_bound(n), where the group is
+    known to be infinite, or Omega past n times that, as |Omega| <= n |G|.
     """
     n = _check_square(generators)
     bound = minkowski_bound(n)
+    limit = min(bound, cap)
+    too_large = ("group is infinite: it has more than %d elements, Minkowski's "
+                 "bound for GL_%d(Q)" % (bound, n) if bound <= cap
+                 else "group order exceeds cap %d" % cap)
     distinct = {}  # a later copy of a generator adds no product to the closure
     for g in generators:
         distinct.setdefault(integer_form(g), g)
     for g in distinct.values():
         inverse_pair(g)  # raises NotInvertible on singular input
         element_order(g, cap)
-    gens = list(distinct)
-    elements = [integer_form(mat_identity(n))]
-    index = {elements[0]: 0}
-    parents = [None]
-    right = [[] for _ in gens]
-    for i, w in enumerate(elements):  # elements grows behind i, a BFS queue
-        for k, g in enumerate(gens):
-            p = _product(w, g)
-            if p not in index:
-                index[p] = len(elements)
-                elements.append(p)
-                parents.append((i, k))
-                if len(elements) > bound:
-                    raise CapExceeded("group is infinite: it has more than %d "
-                                      "elements, Minkowski's bound for GL_%d(Q)"
-                                      % (bound, n))
-                if len(elements) > cap:
-                    raise CapExceeded("group order exceeds cap %d" % cap)
-            right[k].append(index[p])
-    return MatrixGroup(n, elements, right, parents)
+    units = [(1, tuple(int(i == j) for j in range(n))) for i in range(n)]
+    steps = [partial(_times, d, tuple(zip(*N))) for d, N in distinct]
+    rows, perms, _ = _closure(units, steps, n * limit, "%s: its orbit of row vectors "
+                              "has over %d rows" % (too_large, n * limit))
+    elements, right, parents = _closure(
+        [tuple(range(n))], [lambda w, get=perm.__getitem__: tuple(map(get, w))
+                            for perm in perms], limit, too_large)
+
+    def pair(w):  # rows scaled to their lcm denominator, each row kept when d = e
+        d = lcm(*(rows[x][0] for x in w))
+        return d, tuple(y if e == d else tuple(v * (d // e) for v in y)
+                        for e, y in map(rows.__getitem__, w))
+
+    return MatrixGroup(n, [pair(w) for w in elements], right, parents)
 
 
 # one conjugacy class as element indices: the representative g (its first

@@ -14,7 +14,7 @@ two series below agree bidegree by bidegree.
 """
 
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
 from .exact import (QZERO, QONE, InternalError, NotInvertible, elementary_symmetric,
                     int_mat_mul, integer_form, inverse_pair, lowest_terms,
@@ -144,15 +144,11 @@ def build_sector(G, cls, classes, complement=None):
                 "directions is not +-1; this is a bug, not bad input")
         return lowest_terms(eps * d, int_mat_mul(Psi, X)), 1 if det == unit else -1
 
-    dets = [mat_det(N) / d ** n for d, N in (G.elements[t[0]] for t in G.right)]
-    if not set(dets) <= {1, -1}:
-        raise InternalError("a generator's determinant is not +-1; "
-                            "this is a bug, not bad input")
-    terms = _trace_terms(G, cls, classes, f, [int(x) for x in dets])
+    terms = _trace_terms(G, cls, classes, f)
     return Sector(cls, n, tuple(fixed), c, terms, element)
 
 
-def _trace_terms(G, cls, classes, f, dets):
+def _trace_terms(G, cls, classes, f):
     """The terms (key, chi_h, weight) of the sector of cls, in integers from
     the trace character alone (Molien 1897), weights summing to |Z(g)|.
     For x in Z(g), g of order m, psi(x) = (1/m) sum_k tr(g^k x) is the trace
@@ -160,9 +156,9 @@ def _trace_terms(G, cls, classes, f, dets):
     G-class representative, weighted by its size, when g commutes with every
     generator; else a <g>-coset leader) has the power sums psi(h^j), j <= f,
     walked along h's BFS word, Newton's key c of det(I - t A_h) and
-    chi_h = det_V(h) e_f, det_V(h) the product of dets along the word.  g is
-    the identity on V^g, so a coset shares A_h, and chi_g = -1 splits it into
-    halves of opposite characters.  Every division must be exact, psi(1) = f.
+    chi_h = det_V(h) e_f, with det_V(h) = G.det_v[h].  g is the identity on
+    V^g, so a coset shares A_h, and chi_g = -1 splits it into halves of
+    opposite characters.  Every division must be exact, psi(1) = f.
     """
     m, right, parents, g = cls.order, G.right, G.parents, cls.representative
 
@@ -202,11 +198,11 @@ def _trace_terms(G, cls, classes, f, dets):
             sums.append(psi[x])
         sums = tuple(sums)
         key = keys[sums] = keys.get(sums) or elementary_symmetric(sums)
-        return key, (-1) ** f * key[-1] * prod(dets[k] for k in ks)
+        return key, (-1) ** f * key[-1] * G.det_v[h]
 
     if central:
         return tuple(term(k.representative) + (len(k.members),) for k in classes)
-    signs = (1,) if prod(dets[k] for k in word(g)) == 1 else (1, -1)
+    signs = (1,) if G.det_v[g] == 1 else (1, -1)
     return tuple((key, s * chi, m // len(signs))
                  for key, chi in map(term, cls.cosets[::m]) for s in signs)
 

@@ -205,14 +205,14 @@ def test_main_growing_generator_exit_3(tmp_path, capsys):
 
 
 def test_main_infinite_dihedral_exit_3(tmp_path, capsys):
-    # finite-order generators, infinite group: Minkowski's bound stops it
-    spec = tmp_path / "job.json"
-    spec.write_text('{"command": "quotient", '
-                    '"generators": [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]]}')
-    start = time.perf_counter()
-    assert main(["quotient", "--spec", str(spec)]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert "infinite" in capsys.readouterr().err
+    # finite-order generators, infinite group: the orbit of the row vectors
+    # passes n times Minkowski's bound, or n times a lower cap
+    doc = {"command": "quotient", "generators": [[[-1, 0], [0, 1]], [[-1, 1], [0, 1]]]}
+    code, out, err = _exit_and_err(tmp_path, capsys, doc)
+    assert code == 3 and out == "" and "infinite" in err
+    # at t_max 0 each table has 3 cells, under the cap
+    code, out, err = _exit_and_err(tmp_path, capsys, dict(doc, cap=5, t_max=0))
+    assert code == 3 and out == "" and "exceeds cap 5" in err
 
 
 def _exit_and_err(tmp_path, capsys, doc):

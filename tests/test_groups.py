@@ -1,10 +1,11 @@
 from fractions import Fraction
 from math import factorial, lcm
+import time
 
 import pytest
 
-from orbifold_hkr.exact import (NotInvertible, integer_form, mat_identity,
-                                mat_inv, mat_mul, rational_matrix)
+from orbifold_hkr.exact import (NotInvertible, int_mat_mul, integer_form, lowest_terms,
+                                mat_det, mat_identity, mat_inv, mat_mul, rational_matrix)
 from orbifold_hkr.groups import (CapExceeded, OrderCapExceeded, conjugacy_classes,
                                  element_order, generate, max_finite_order,
                                  minkowski_bound)
@@ -103,10 +104,13 @@ def test_cap_exceeded():
 
 
 def test_infinite_group_of_finite_order_generators_stops_at_minkowski():
-    # two reflections whose product is a shear: the infinite dihedral group
+    # two reflections whose product is a shear: the infinite dihedral group,
+    # whose orbit of e_1 passes n times Minkowski's bound, or n times the cap
     gens = (m([[-1, 0], [0, 1]]), m([[-1, 1], [0, 1]]))
-    with pytest.raises(CapExceeded, match="infinite"):
+    with pytest.raises(CapExceeded, match="infinite: .* over 48 rows"):
         generate(gens)
+    with pytest.raises(CapExceeded, match="exceeds cap 5: .* over 10 rows"):
+        generate(gens, 5)
     # {1, -1} is as large as a finite subgroup of GL_1(Q) can be
     assert generate(SIGN_1D).order == minkowski_bound(1) == 2
 
@@ -163,6 +167,46 @@ def test_element_order_values():
     assert element_order(m([[-1]]), 10) == 2
     assert element_order(m([[0, -1], [1, -1]]), 10) == 3
     assert element_order(m([[1, -1], [1, 0]]), 10) == 6
+
+
+def _product_order(M, cap):
+    # the order by repeated products, as element_order ran it before it
+    # walked rows: the order, or the message of its OrderCapExceeded
+    n, bound = len(M), max_finite_order(len(M))
+    P, k = M, 1
+    while P != mat_identity(n):
+        P, k = mat_mul(P, M), k + 1
+        if k > bound:
+            return "element has infinite order"
+        if k > cap:
+            return "element order exceeds cap %d" % cap
+    return k
+
+
+def test_row_orbit_order_matches_product_loop(zoo_groups):
+    cases = [M for G in zoo_groups.values() for M in _matrices(G)]
+    cases += [m([[2, 0], [0, 1]]), m([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+              m([[1, 1], [0, 1]]), m([[1, -1], [1, 0]])]
+    for M in cases:
+        for cap in (1, 2, 3, 5, 6, 100000):
+            try:
+                got = element_order(M, cap)
+            except OrderCapExceeded as e:
+                got = str(e)
+            assert got == _product_order(M, cap)
+
+
+def test_order_of_a_large_permutation_matrix():
+    # cycles 5, 7, 8, 9 and 11 on A^40: order 27720, from 40 row steps where
+    # the product loop made 27720 products of 40 x 40 matrices
+    perm, start = [], 0
+    for length in (5, 7, 8, 9, 11):
+        perm += [start + (i + 1) % length for i in range(length)]
+        start += length
+    M = m([[int(j == perm[i]) for j in range(40)] for i in range(40)])
+    begin = time.perf_counter()
+    assert element_order(M) == 27720
+    assert time.perf_counter() - begin < 1.0
 
 
 def test_class_equation_and_orbit_stabilizer(zoo_groups):
@@ -301,6 +345,7 @@ def test_closure_matches_fraction_closure(name):
                for d, N in G.elements for row in N for x in row)
     assert [element_order(g) for g in elements] == [_fraction_order(g)
                                                     for g in elements]
+    assert G.det_v == [mat_det(g) for g in elements]
 
 
 @pytest.mark.parametrize("name", list(_CLOSURE_CASES))
@@ -330,17 +375,14 @@ def _bipartitions(n):
     return sum(partitions(a, a) * partitions(n - a, n - a) for a in range(n + 1))
 
 
+# B5 on A^5 by adjacent transpositions and the sign change of x_1: 3840
+# elements, whose BFS words run up to the length of the longest element
+B5 = tuple(_swap(5, k) for k in range(4)) + (
+    m([[-1 if r == j == 0 else int(r == j) for j in range(5)] for r in range(5)]),)
+
+
 def test_classes_of_b5_on_a_deep_closure_tree():
-    # B5 on A^5 by adjacent transpositions and the sign change of x_1: 3840
-    # elements, whose BFS words run up to the length of the longest element
-    gens = []
-    for i in range(4):
-        perm = list(range(5))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(m([[int(perm[j] == r) for j in range(5)] for r in range(5)]))
-    gens.append(m([[-1 if r == j == 0 else int(r == j) for j in range(5)]
-                   for r in range(5)]))
-    G = generate(gens)
+    G = generate(B5)
     assert G.order == 2 ** 5 * factorial(5)
     classes = conjugacy_classes(G)
     assert len(classes) == _bipartitions(5) == 36
@@ -348,3 +390,31 @@ def test_classes_of_b5_on_a_deep_closure_tree():
     for c in classes:
         assert len(c.members) * len(c.centralizer) == G.order
         assert c.order == element_order(rational_matrix(*G.elements[c.representative]))
+
+
+def _integer_closure(gens):
+    # the breadth-first closure on integer (d, N) pairs, one matrix product
+    # per element and generator, as generate ran it before it acted on row
+    # orbits: (elements, right, parents)
+    gens = [integer_form(g) for g in gens]
+    elements = [integer_form(mat_identity(len(gens[0][1])))]
+    index = {elements[0]: 0}
+    parents = [None]
+    right = [[] for _ in gens]
+    for i, (d, N) in enumerate(elements):
+        for k, (e, M) in enumerate(gens):
+            p = lowest_terms(d * e, int_mat_mul(N, M))
+            if p not in index:
+                index[p] = len(elements)
+                elements.append(p)
+                parents.append((i, k))
+            right[k].append(index[p])
+    return elements, right, parents
+
+
+def test_closure_of_b5_matches_integer_closure():
+    G = generate(B5)
+    elements, right, parents = _integer_closure(B5)
+    assert G.elements == tuple(elements)
+    assert G.right == right
+    assert G.parents == parents

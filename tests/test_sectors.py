@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from orbifold_hkr import hkr, sectors
+from orbifold_hkr import groups, hkr, sectors
 from orbifold_hkr.cli import main
 from orbifold_hkr.exact import (InternalError, NotInvertible, integer_form,
                                 mat_det, mat_identity, mat_inv, mat_mul,
@@ -279,12 +279,12 @@ def test_central_class_guard_checks_every_generator(tmp_path, capsys, monkeypatc
 # guards of the trace route -----------------------------------------------------
 
 def test_generator_determinant_guard_is_an_internal_error(monkeypatch):
-    # generator determinants twice too large
-    G, swap = generate(S3_PERM, 100), [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    real = sectors.mat_det
-    monkeypatch.setattr(sectors, "mat_det", lambda A: 2 * real(A))
+    # generator determinants twice too large; the group reads them once, for
+    # the det_v that the terms' characters take
+    real = groups.mat_det
+    monkeypatch.setattr(groups, "mat_det", lambda A: 2 * real(A))
     with pytest.raises(InternalError, match="generator's determinant is not"):
-        _sector_of(G, swap)
+        generate(S3_PERM, 100)
 
 
 def test_trace_guard_is_an_internal_error():
