@@ -288,7 +288,8 @@ class BiSeries:
 
     rows[p][d] is the coefficient of u^p t^d, 0 <= p <= u_max, 0 <= d <= t_max,
     kept as the exact value given (an int or a Fraction; the Molien tables
-    give ints).  Sums pad the summand with fewer u degrees by zero rows.
+    give ints), and every zero it adds is the int 0.  Sums pad the summand
+    with fewer u degrees by zero rows.
     """
 
     __slots__ = ("u_max", "t_max", "rows")
@@ -303,29 +304,26 @@ class BiSeries:
 
     @classmethod
     def zero(cls, u_max, t_max):
-        return cls(u_max, t_max, [[QZERO] * (t_max + 1) for _ in range(u_max + 1)])
+        return cls(u_max, t_max, [[0] * (t_max + 1) for _ in range(u_max + 1)])
 
     def coeff(self, p, d):
         if d < 0 or d > self.t_max:
             raise ValueError("t-degree %d outside truncation %d" % (d, self.t_max))
         if p < 0 or p > self.u_max:
-            return QZERO
+            return 0
         return self.rows[p][d]
 
     def row(self, p):
         if p > self.u_max:
-            return (QZERO,) * (self.t_max + 1)
+            return (0,) * (self.t_max + 1)
         return self.rows[p]
 
     def __add__(self, other):
         if self.t_max != other.t_max:
             raise ValueError("t truncations differ")
         u = max(self.u_max, other.u_max)
-        # a zero summand costs no Fraction addition
-        return BiSeries(u, self.t_max,
-                        [[x + y if x and y else x or y
-                          for x, y in zip(self.row(p), other.row(p))]
-                         for p in range(u + 1)])
+        return BiSeries(u, self.t_max, [[x + y for x, y in zip(self.row(p), other.row(p))]
+                                        for p in range(u + 1)])
 
     def __eq__(self, other):
         return (isinstance(other, BiSeries) and self.u_max == other.u_max

@@ -15,7 +15,7 @@ from functools import partial
 from math import gcd, lcm
 from operator import mul
 
-from .exact import InternalError, integer_form, inverse_pair, mat_det
+from .exact import InternalError, NotInvertible, integer_form, mat_det
 
 DEFAULT_CAP = 100000
 
@@ -182,7 +182,8 @@ def generate(generators, cap=DEFAULT_CAP):
     the elements are kept as the (d, N) pairs of exact.integer_form.  Only
     the first copy of a repeated generator is kept, so right has one table
     per distinct generator.  Raises NotInvertible on a singular generator,
-    OrderCapExceeded on an infinite-order generator, CapExceeded when the
+    OrderCapExceeded on an infinite-order generator (at once when its
+    determinant is not +-1, before its order is walked), CapExceeded when the
     closure grows past the cap, or past minkowski_bound(n), where the group is
     known to be infinite, or Omega past n times that, as |Omega| <= n |G|.
     """
@@ -196,7 +197,11 @@ def generate(generators, cap=DEFAULT_CAP):
     for g in generators:
         distinct.setdefault(integer_form(g), g)
     for g in distinct.values():
-        inverse_pair(g)  # raises NotInvertible on singular input
+        det = mat_det(g)
+        if not det:
+            raise NotInvertible("matrix is singular")
+        if det not in (1, -1):  # a finite-order matrix has det +-1
+            raise OrderCapExceeded("element has infinite order")
         element_order(g, cap)
     units = [(1, tuple(int(i == j) for j in range(n))) for i in range(n)]
     steps = [partial(_times, d, tuple(zip(*N))) for d, N in distinct]

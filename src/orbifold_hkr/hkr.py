@@ -37,7 +37,7 @@ from itertools import combinations
 from math import comb, lcm
 from operator import mul
 
-from .exact import (BiSeries, InternalError, QZERO, det_series_factor,
+from .exact import (BiSeries, InternalError, det_series_factor,
                     int_mat_mul, inverse_pair, mat_rank, transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, monomials
@@ -113,7 +113,7 @@ def sector_hh_series(sector, t_max):
     """
     rows = _molien_average(sector, t_max, False)
     return BiSeries(sector.fixed_dim, t_max,
-                    [([QZERO] * p + row)[:t_max + 1] for p, row in enumerate(rows)])
+                    [([0] * p + row)[:t_max + 1] for p, row in enumerate(rows)])
 
 
 def sector_hhcoh_series(sector, t_max):
@@ -125,7 +125,7 @@ def sector_hhcoh_series(sector, t_max):
     with A standing in for its inverse as in sector_hh_series.
     """
     rows = _molien_average(sector, t_max, True)
-    return BiSeries(sector.n, t_max, [[QZERO] * (t_max + 1)] * sector.c_g + rows)
+    return BiSeries(sector.n, t_max, [[0] * (t_max + 1)] * sector.c_g + rows)
 
 
 def _ext_minors(C, f):

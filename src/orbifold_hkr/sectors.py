@@ -1,12 +1,12 @@
 """Per-sector geometry of a linear action on affine space.
 
 For each conjugacy class [g], given as element indices of the group: the
-fixed subspace V^g = ker(g - I), the determinant character of the centralizer
-on the normal directions (ints +-1) and the restricted centralizer action on
-V^g ((d, N) pairs in lowest terms), and two bigraded Hilbert series that
-realize the derived fixed locus (Koszul side) and its shifted-tangent model.
-Only the brute-force oracle reads the action and the character: the Molien
-route's weighted terms come from the trace character of the closure alone.
+dimension psi(1) of the fixed subspace V^g and the Molien route's terms,
+from the trace character of the closure alone; V^g = ker(g - I), the
+restricted centralizer action on it ((d, N) pairs in lowest terms) and the
+determinant character on the normal directions (ints +-1), made on the
+oracle's first read; and two bigraded Hilbert series that realize the
+derived fixed locus (Koszul side) and its shifted-tangent model.
 
 Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 (equivalently the Koszul exterior generators); that choice is what makes the
@@ -37,44 +37,33 @@ def monomials(nvars, degree):
 class Sector:
     """One twisted sector: class data plus the linear geometry of V^g.
 
-    terms holds the Molien route's weighted terms from _trace_terms.  Only
-    the oracle reads restricted_action and det_normal_char, the per-element
-    tuples in centralizer order, made on first read from build_sector's
-    element routine, which is dropped after, and _oracle, the integer images
-    that hkr.brute_force_invariants keeps until oracle_verdict drops them.
+    Made eagerly: what the Molien tables read, fixed_dim = psi(1), c_g and
+    the terms of _trace_terms.  _geometry holds build_sector's V^g routine
+    until the first read of fixed_basis, restricted_action or det_normal_char
+    (the per-element tuples in centralizer order), which only the oracle
+    reads, and that triple after; _oracle holds the integer images that
+    hkr.brute_force_invariants keeps until oracle_verdict drops them.
     """
 
-    __slots__ = ("class_ref", "n", "fixed_basis", "c_g", "terms", "_element",
-                 "_per_element", "_oracle")
+    __slots__ = ("class_ref", "n", "fixed_dim", "c_g", "terms", "_geometry", "_oracle")
 
-    def __init__(self, class_ref, n, fixed_basis, c_g, terms, element):
+    def __init__(self, class_ref, n, fixed_dim, terms, geometry):
         self.class_ref = class_ref
         self.n = n
-        self.fixed_basis = fixed_basis
-        self.c_g = c_g
+        self.fixed_dim = fixed_dim
+        self.c_g = n - fixed_dim
         self.terms = terms
-        self._element = element
-        self._per_element = None
+        self._geometry = geometry
         self._oracle = None
 
-    def _tuples(self):
-        if self._per_element is None:
-            self._per_element = tuple(zip(*map(self._element,
-                                               self.class_ref.centralizer)))
-            self._element = None
-        return self._per_element
+    def _read(self, i):
+        if callable(self._geometry):
+            self._geometry = self._geometry()
+        return self._geometry[i]
 
-    @property
-    def restricted_action(self):
-        return self._tuples()[0]
-
-    @property
-    def det_normal_char(self):
-        return self._tuples()[1]
-
-    @property
-    def fixed_dim(self):
-        return len(self.fixed_basis)
+    fixed_basis = property(lambda self: self._read(0))
+    restricted_action = property(lambda self: self._read(1))
+    det_normal_char = property(lambda self: self._read(2))
 
     def __repr__(self):
         return "Sector(f=%d, c=%d, class_size=%d)" % (
@@ -84,11 +73,13 @@ class Sector:
 def build_sector(G, cls, classes, complement=None):
     """Assemble the Sector of a conjugacy class of element indices.
 
+    fixed_dim, c_g and terms come from _trace_terms, with no elimination;
+    the rest from the routine that the oracle's first read runs (Sector).
     V^g is the nullspace of N - d I, (d, N) = G.elements[g] for the
-    representative g.  The normal complement is chosen from coordinate
-    vectors off the pivot columns of the fixed basis unless an explicit column
-    list is passed; the determinant character lives on the quotient V/V^g, so
-    the choice cannot matter.
+    representative g, and its dimension must be psi(1).  The normal
+    complement is chosen from coordinate vectors off the pivot columns of the
+    fixed basis unless an explicit column list is passed; the determinant
+    character lives on the quotient V/V^g, so the choice cannot matter.
 
     In the basis B = [F | e_c for c in the complement], F the fixed basis,
     h acts by [[A_h, *], [0, Q_h]]; the blocks are formed directly.  With P
@@ -100,65 +91,71 @@ def build_sector(G, cls, classes, complement=None):
     F_P^-1 = delta Psi / eps, with R = Phi[comp] Psi made once.  A_h is the
     pair (eps d, Psi (N Phi)[P]) in lowest terms, the same for every
     complement, and the character det(eps d Q_h) / (eps d)^c must be +-1.
-    Only the oracle's per-element tuples run this element routine; the terms
-    come from _trace_terms.  Raises ValueError for a wrong number of columns,
-    NotInvertible when they are no complement, InternalError on a failed guard.
+    On that first read, not before, it raises ValueError for a wrong number
+    of columns, NotInvertible when they are no complement, InternalError on
+    a failed guard.
     """
-    d, N = G.elements[cls.representative]
-    n = G.n
-    fixed = nullspace_basis([[x - d if i == j else x for j, x in enumerate(row)]
-                             for i, row in enumerate(N)])
-    f = len(fixed)
-    c = n - f
-    if complement is None:
-        pivots = rref(fixed)[1] if fixed else []
-        comp = [j for j in range(n) if j not in set(pivots)]
-    else:
-        comp = list(complement)
-        if len(comp) != c:
-            raise ValueError("complement needs %d columns, got %d" % (c, len(comp)))
-    P = [j for j in range(n) if j not in comp]
-    if len(P) != f:
-        raise NotInvertible("complement columns repeat or lie outside 0..%d" % (n - 1))
-    _, Phi = integer_form(tuple(tuple(v[i] for v in fixed) for i in range(n)))
-    # inverse_pair raises NotInvertible when comp is no complement
-    eps, Psi = inverse_pair([Phi[i] for i in P])
-    R = int_mat_mul([Phi[i] for i in comp], Psi)
+    f, terms = _trace_terms(G, cls, classes)
+    n, c = G.n, G.n - f
 
-    def element(h):
-        # (A_h, chi_h) of element h, both guards checked
-        d, N = G.elements[h]
-        NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
-        X = [NPhi[i] for i in P]
-        if int_mat_mul(R, X) != tuple(tuple(eps * y for y in NPhi[i]) for i in comp):
-            raise InternalError(
-                "centralizer element does not preserve the fixed subspace; "
-                "this is a bug, not bad input")
-        # eps d Q_h is integral and Q_h has finite order, so det Q_h = +-1
-        Q = [[eps * N[i][j] - sum(R[a][k] * N[p][j] for k, p in enumerate(P))
-              for j in comp] for a, i in enumerate(comp)]
-        det, unit = mat_det(Q), (eps * d) ** c
-        if det not in (unit, -unit):
-            raise InternalError(
-                "the determinant of a centralizer element on the normal "
-                "directions is not +-1; this is a bug, not bad input")
-        return lowest_terms(eps * d, int_mat_mul(Psi, X)), 1 if det == unit else -1
+    def geometry():
+        d, N = G.elements[cls.representative]
+        fixed = nullspace_basis([[x - d if i == j else x for j, x in enumerate(row)]
+                                 for i, row in enumerate(N)])
+        if len(fixed) != f:
+            raise InternalError("the trace average of <g> is %d, not the fixed dimension "
+                                "%d; this is a bug, not bad input" % (f, len(fixed)))
+        if complement is None:
+            pivots = rref(fixed)[1] if fixed else []
+            comp = [j for j in range(n) if j not in set(pivots)]
+        else:
+            comp = list(complement)
+            if len(comp) != c:
+                raise ValueError("complement needs %d columns, got %d" % (c, len(comp)))
+        P = [j for j in range(n) if j not in comp]
+        if len(P) != f:
+            raise NotInvertible("complement columns repeat or lie outside 0..%d" % (n - 1))
+        _, Phi = integer_form(tuple(tuple(v[i] for v in fixed) for i in range(n)))
+        # inverse_pair raises NotInvertible when comp is no complement
+        eps, Psi = inverse_pair([Phi[i] for i in P])
+        R = int_mat_mul([Phi[i] for i in comp], Psi)
 
-    terms = _trace_terms(G, cls, classes, f)
-    return Sector(cls, n, tuple(fixed), c, terms, element)
+        def element(h):
+            # (A_h, chi_h) of element h, both guards checked
+            d, N = G.elements[h]
+            NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
+            X = [NPhi[i] for i in P]
+            if int_mat_mul(R, X) != tuple(tuple(eps * y for y in NPhi[i]) for i in comp):
+                raise InternalError(
+                    "centralizer element does not preserve the fixed subspace; "
+                    "this is a bug, not bad input")
+            # eps d Q_h is integral and Q_h has finite order, so det Q_h = +-1
+            Q = [[eps * N[i][j] - sum(R[a][k] * N[p][j] for k, p in enumerate(P))
+                  for j in comp] for a, i in enumerate(comp)]
+            det, unit = mat_det(Q), (eps * d) ** c
+            if det not in (unit, -unit):
+                raise InternalError(
+                    "the determinant of a centralizer element on the normal "
+                    "directions is not +-1; this is a bug, not bad input")
+            return lowest_terms(eps * d, int_mat_mul(Psi, X)), 1 if det == unit else -1
+
+        return (tuple(fixed),) + tuple(zip(*map(element, cls.centralizer)))
+
+    return Sector(cls, n, f, terms, geometry)
 
 
-def _trace_terms(G, cls, classes, f):
-    """The terms (key, chi_h, weight) of the sector of cls, in integers from
-    the trace character alone (Molien 1897), weights summing to |Z(g)|.
-    For x in Z(g), g of order m, psi(x) = (1/m) sum_k tr(g^k x) is the trace
-    of x on V^g, one average per <g>-coset, and psi(1) = f.  A term h (a
-    G-class representative, weighted by its size, when g commutes with every
-    generator; else a <g>-coset leader) has the power sums psi(h^j), j <= f,
-    walked along h's BFS word, Newton's key c of det(I - t A_h) and
-    chi_h = det_V(h) e_f, with det_V(h) = G.det_v[h].  g is the identity on
-    V^g, so a coset shares A_h, and chi_g = -1 splits it into halves of
-    opposite characters.  Every division must be exact, psi(1) = f.
+def _trace_terms(G, cls, classes):
+    """The pair (f, terms) of the sector of cls, in integers from the trace
+    character alone (Molien 1897): f = dim V^g and the terms (key, chi_h,
+    weight), weights summing to |Z(g)|.  For x in Z(g), g of order m,
+    psi(x) = (1/m) sum_k tr(g^k x) is the trace of x on V^g, one average per
+    <g>-coset, and f = psi(1).  A term h (a G-class representative, weighted
+    by its size, when g commutes with every generator; else a <g>-coset
+    leader) has the power sums psi(h^j), j <= f, walked along h's BFS word,
+    Newton's key c of det(I - t A_h) and chi_h = det_V(h) e_f, with
+    det_V(h) = G.det_v[h].  g is the identity on V^g, so a coset shares A_h,
+    and chi_g = -1 splits it into halves of opposite characters.  Every
+    division must be exact.
     """
     m, right, parents, g = cls.order, G.right, G.parents, cls.representative
 
@@ -186,10 +183,7 @@ def _trace_terms(G, cls, classes, f):
             raise InternalError("a coset's trace average is not an integer; "
                                 "this is a bug, not bad input")
         psi.update(dict.fromkeys(run, average))
-    if psi[0] != f:
-        raise InternalError("the trace average of <g> is %d, not the fixed "
-                            "dimension %d; this is a bug, not bad input" % (psi[0], f))
-    keys = {}  # one key per distinct tuple of power sums
+    f, keys = psi[0], {}  # keys: one per distinct tuple of power sums
 
     def term(h):
         ks, x, sums = word(h), 0, []
@@ -201,10 +195,10 @@ def _trace_terms(G, cls, classes, f):
         return key, (-1) ** f * key[-1] * G.det_v[h]
 
     if central:
-        return tuple(term(k.representative) + (len(k.members),) for k in classes)
+        return f, tuple(term(k.representative) + (len(k.members),) for k in classes)
     signs = (1,) if G.det_v[g] == 1 else (1, -1)
-    return tuple((key, s * chi, m // len(signs))
-                 for key, chi in map(term, cls.cosets[::m]) for s in signs)
+    return f, tuple((key, s * chi, m // len(signs))
+                    for key, chi in map(term, cls.cosets[::m]) for s in signs)
 
 
 class KoszulReport:

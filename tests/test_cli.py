@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbifold_hkr import cli, groups, hkr
+from orbifold_hkr import cli, groups, hkr, sectors
 from orbifold_hkr.cli import (NonSquareMatrix, SchemaError, main, parse_jobspec,
                               render_json, render_table, run)
 from orbifold_hkr.exact import mat_det, mat_inv, mat_mul
@@ -213,6 +213,31 @@ def test_main_infinite_dihedral_exit_3(tmp_path, capsys):
     # at t_max 0 each table has 3 cells, under the cap
     code, out, err = _exit_and_err(tmp_path, capsys, dict(doc, cap=5, t_max=0))
     assert code == 3 and out == "" and "exceeds cap 5" in err
+
+
+def test_main_determinant_not_a_unit_exit_3(tmp_path, capsys):
+    # [[2]] + I on A^40 has infinite order, seen from its determinant before
+    # any orbit is walked, where a walk of its powers would run to the cap
+    gen = [[str(2 if i == j == 0 else int(i == j)) for j in range(40)] for i in range(40)]
+    doc = {"command": "quotient", "generators": [gen], "t_max": 1}
+    code, out, err = _exit_and_err(tmp_path, capsys, doc)
+    assert code == 3 and out == "" and "infinite order" in err
+
+
+def test_main_oracle_checks_the_fixed_dimension(tmp_path, capsys, monkeypatch):
+    # the report takes f from the trace average alone; under --oracle the
+    # first read of V^g compares it with the nullspace, here one vector short
+    real = sectors.nullspace_basis
+    monkeypatch.setattr(sectors, "nullspace_basis", lambda A: real(A)[1:])
+    doc = {"command": "quotient", "t_max": 2,
+           "generators": [[[str(x) for x in row] for row in g] for g in S3_PERM]}
+    code, out, err = _exit_and_err(tmp_path, capsys, doc)
+    assert code == 0 and err == ""
+    code, out, err = _exit_and_err(tmp_path, capsys, dict(doc, oracle=True))
+    assert code == 5 and out == ""
+    assert err.startswith("internal error: the trace average of <g> is 3, not the "
+                          "fixed dimension 2")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _exit_and_err(tmp_path, capsys, doc):

@@ -600,16 +600,18 @@ def test_b4_job_keys_and_elements_within_its_pins(monkeypatch):
 
 
 def test_every_sector_keeps_its_element_routine_until_the_first_read():
-    # the per-element tuples have one source, the element routine, which
-    # every sector keeps until they are first read and drops after
+    # V^g and the per-element tuples have one source, the routine with the
+    # element routine inside, which every sector keeps until any of them is
+    # first read and replaces by the tuple (fixed_basis, actions, chars)
     for G in (generate(_b4(), 1000), _conjugate_group(B3, B3_BASIS)):
         secs = _sectors(G)
         assert {len(sec.class_ref.members) > 1 for sec in secs} == {False, True}
         for sec in secs:
-            assert sec._element is not None and sec._per_element is None
+            assert callable(sec._geometry)
             action = sec.restricted_action
-            assert sec._element is None and sec._per_element is not None
+            assert isinstance(sec._geometry, tuple)
             assert sec.restricted_action is action
+            assert sec._geometry == (sec.fixed_basis, action, sec.det_normal_char)
             assert len(sec.det_normal_char) == len(action) == len(sec.class_ref.centralizer)
 
 
@@ -666,12 +668,39 @@ def test_molien_route_reads_no_element_data():
     # build_sector's term code nor _molien_average names the element
     # routine, the per-element tuples or the matrix kernels behind them
     banned = {"_element", "element", "int_mat_mul", "mat_det", "nullspace_basis",
-              "restricted_action", "det_normal_char", "lowest_terms"}
+              "restricted_action", "det_normal_char", "lowest_terms", "fixed_basis",
+              "_geometry", "geometry"}
     terms, average = _code_names(sectors._trace_terms), _code_names(hkr._molien_average)
     assert "_trace_terms" in _code_names(sectors.build_sector)
     assert "cosets" in terms and "elementary_symmetric" in terms
     assert "terms" in average and "det_series_factor" in average
     assert not terms & banned and not average & banned
+
+
+def test_report_path_makes_no_elimination(zoo_groups, monkeypatch):
+    # both tables of every sector come from the closure: with the one
+    # elimination kernel made to raise, full_report gives the same tables;
+    # the oracle's V^g then has the trace average's dimension, which is
+    # that of the nullspace of g - I
+    groups = _coset_groups(zoo_groups) + [generate(cartan_generators(B4_CARTAN), 1000)]
+
+    def tables(G):
+        return [[s for _, s in rep.sectors] + [rep.total]
+                for rep in (full_report(G, 6, "homology"), full_report(G, 6, "cohomology"))]
+
+    want = [tables(G) for G in groups]
+
+    def echelon(A):
+        raise AssertionError("the report path called the elimination kernel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_echelon", echelon)
+        assert [tables(G) for G in groups] == want
+    for G in groups:
+        for sec in _sectors(G):
+            g = rational_matrix(*G.elements[sec.class_ref.representative])
+            kernel = exact.nullspace_basis(exact.mat_sub(g, exact.mat_identity(G.n)))
+            assert sec.fixed_dim == len(sec.fixed_basis) == len(kernel), sec
 
 
 def test_newton_keys_match_a_fraction_characteristic_polynomial(zoo_groups):
@@ -927,7 +956,7 @@ def test_oracle_code_shares_nothing_with_molien():
 
 def test_oracle_builds_its_per_element_data_only_when_asked(monkeypatch):
     # the Molien tables read the weighted terms alone, so without --oracle no
-    # sector makes its per-element tuples or oracle tables; the oracle's
+    # sector makes its V^g, per-element tuples or oracle tables; the oracle's
     # sectors make both, each its tables once, and drop the tables when
     # their cells are checked
     built, tabled = [], []
@@ -944,12 +973,12 @@ def test_oracle_builds_its_per_element_data_only_when_asked(monkeypatch):
            "generators": [[[str(x) for x in row] for row in g] for g in B3]}
     cli.run(cli.parse_jobspec(json.dumps(doc)))
     assert len(built) == 2 * len(conjugacy_classes(generate(B3, 1000)))
-    assert all(sec._per_element is None and sec._oracle is None for sec in built)
+    assert all(callable(sec._geometry) and sec._oracle is None for sec in built)
     assert not tabled
     built.clear()
     report = cli.run(cli.parse_jobspec(json.dumps(dict(doc, oracle=True))))
     assert report["oracle"]["agreement"] is True
     oracle_sectors = built[-len(report["sectors"]):]
     assert sorted(map(id, tabled)) == sorted(map(id, oracle_sectors))
-    assert all(sec._per_element is not None and sec._oracle is None
+    assert all(isinstance(sec._geometry, tuple) and sec._oracle is None
                for sec in oracle_sectors)

@@ -109,13 +109,14 @@ def test_change_of_complement_leaves_character_alone():
 
 
 def test_bad_complement_is_rejected():
+    # the complement is chosen where V^g is made, on the first read
     G = generate(S3_PERM, 100)
     cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(NotInvertible):
         # e_2 lies inside the fixed subspace, so it is no complement
-        build_sector(G, cls, conjugacy_classes(G), complement=[2])
+        build_sector(G, cls, conjugacy_classes(G), complement=[2]).fixed_basis
     with pytest.raises(ValueError):
-        build_sector(G, cls, conjugacy_classes(G), complement=[0, 1])
+        build_sector(G, cls, conjugacy_classes(G), complement=[0, 1]).fixed_basis
 
 
 def _conjugation_blocks(G, cls, comp):
@@ -163,7 +164,7 @@ def test_block_formulas_match_conjugation_by_b(zoo_groups):
                 want = _conjugation_blocks(G, cls, comp)
                 if want is None:
                     with pytest.raises(NotInvertible):
-                        build_sector(G, cls, classes, complement=comp)
+                        build_sector(G, cls, classes, complement=comp).restricted_action
                     continue
                 other = build_sector(G, cls, classes, complement=comp)
                 assert (other.restricted_action, other.det_normal_char) == want
@@ -279,12 +280,15 @@ def test_central_class_guard_checks_every_generator(tmp_path, capsys, monkeypatc
 # guards of the trace route -----------------------------------------------------
 
 def test_generator_determinant_guard_is_an_internal_error(monkeypatch):
-    # generator determinants twice too large; the group reads them once, for
-    # the det_v that the terms' characters take
+    # generator determinants twice too large; the group reads them once from
+    # its closure pairs, for the det_v that the terms' characters take (generate
+    # checks its input generators before the walk, so the group is rebuilt
+    # from a closure made with the real determinants)
+    G = generate(S3_PERM, 100)
     real = groups.mat_det
     monkeypatch.setattr(groups, "mat_det", lambda A: 2 * real(A))
     with pytest.raises(InternalError, match="generator's determinant is not"):
-        generate(S3_PERM, 100)
+        MatrixGroup(G.n, G.elements, G.right, G.parents)
 
 
 def test_trace_guard_is_an_internal_error():
@@ -309,11 +313,13 @@ def test_coset_average_guard_is_an_internal_error(monkeypatch):
 
 
 def test_fixed_dimension_guard_is_an_internal_error(monkeypatch):
-    # a fixed basis one vector short disagrees with the trace average of <g>
+    # a fixed basis one vector short disagrees with the trace average of <g>;
+    # the report reads only the trace average, and the first read of V^g fails
     G = generate(SIGN_1D, 100)
     classes = conjugacy_classes(G)
     real = sectors.nullspace_basis
     monkeypatch.setattr(sectors, "nullspace_basis", lambda A: real(A)[1:])
+    sec = build_sector(G, classes[0], classes)
     with pytest.raises(InternalError, match="trace average of <g> is 1, not the "
                                             "fixed dimension 0"):
-        build_sector(G, classes[0], classes)
+        sec.fixed_basis
