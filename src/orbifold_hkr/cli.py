@@ -18,7 +18,8 @@ from .circle import (central_complex, cover_homology, fiber_dimension,
                      gamma_homology, generic_fiber_homology)
 from .exact import BadRational, InternalError, NotInvertible, parse_rational
 from .groups import (CapExceeded, DEFAULT_CAP, OrderCapExceeded, generate)
-from .hkr import BasisTooLarge, full_report, oracle_verdict
+from .hkr import (COHOMOLOGY_CONVENTIONS, HOMOLOGY_CONVENTIONS, BasisTooLarge,
+                  full_report, oracle_verdict)
 from .wps import WeightedStack, hh_vector, inertia_components
 
 COMMANDS = ("quotient", "wps", "circle", "gamma")
@@ -211,14 +212,15 @@ def _quotient_report(job):
         } for (sec, s), (_, s2) in zip(hom.sectors, coh.sectors)],
         "HH": _series_table(hom.total),
         "HHcoh": _series_table(coh.total),
-        "conventions": {"homology": hom.conventions,
-                        "cohomology": coh.conventions},
+        "conventions": {"homology": HOMOLOGY_CONVENTIONS,
+                        "cohomology": COHOMOLOGY_CONVENTIONS},
         "oracle": {"checked": False, "agreement": None,
                    "first_disagreement": None},
     }
+    tables = [(s, s2) for (_, s), (_, s2) in zip(hom.sectors, coh.sectors)]
     del hom, coh  # the oracle builds sectors of its own
     if job.oracle:
-        mismatch = oracle_verdict(G, job.t_max)
+        mismatch = oracle_verdict(G, tables)
         report["oracle"] = {"checked": True, "agreement": mismatch is None,
                             "first_disagreement": mismatch}
     return report
@@ -369,13 +371,9 @@ def main(argv=None):
             raise SchemaError("document says command %r but the CLI command is %r"
                               % (job.command, args.command))
         if args.t_max is not None:
-            if args.t_max < 0:
-                raise SchemaError("t_max: must be at least 0")
-            job.t_max = args.t_max
+            job.t_max = _plain_int(args.t_max, "t_max", 0)
         if args.cap is not None:
-            if args.cap < 1:
-                raise SchemaError("cap: must be at least 1")
-            job.cap = args.cap
+            job.cap = _plain_int(args.cap, "cap", 1)
         if args.oracle:
             job.oracle = True
         if args.format:

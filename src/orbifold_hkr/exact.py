@@ -193,7 +193,12 @@ def mat_rank(A):
 
 
 def nullspace_basis(A):
-    """Echelon basis of {v : Av = 0}; deterministic, one vector per free column."""
+    """Echelon basis of {v : Av = 0}; deterministic, one vector per free column.
+
+    The vector of free column j is 1 at j and 0 at every other free column;
+    elsewhere it is nonzero only at pivot columns left of j, since a pivot is
+    its row's first nonzero.  So its last nonzero entry is the 1 at j.
+    """
     if not A:
         return []
     ncols = len(A[0])

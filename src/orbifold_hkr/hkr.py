@@ -10,16 +10,19 @@ Two independent routes to the same numbers:
     the character for cohomology, are summed per key, each key that does not
     cancel is expanded once, and each integer cell is divided by |Z(g)| once.
   * A brute-force oracle: explicit representation matrices on a monomial and
-    exterior basis, then the rank of the averaging projector.  Each sector's
-    centralizer acts in a reduced basis of its invariant lattice sum_h A_h Z^f
-    (integer Hermite form, then LLL for the form sum_h A_h^T A_h), where every
-    matrix and its inverse is integral.  Each distinct Sym^k image is built
-    once per degree and shared, and the Lambda^p minors once per p.  The
+    exterior basis, then the rank of the averaging projector.  It checks the
+    report's tables on sectors of its own, one class at a time: an
+    OracleSector holds V^g and the per-element data of sectors.fixed_geometry
+    and is dropped once its cells are checked.  Each sector's centralizer
+    acts in a reduced basis of its invariant lattice sum_h A_h Z^f (integer
+    Hermite form, then LLL for the form sum_h A_h^T A_h), where every matrix
+    and its inverse is integral.  Each distinct Sym^k image is built once
+    per degree and shared, and the Lambda^p minors once per p.  The
     projector is built by columns, skipping every column that
     P rho(h) = chi_h P puts in the span of those built (one per orbit for a
     signed-permutation action), and its distinct columns are ranked by the
     one elimination kernel of exact.  The work of every cell is estimated
-    from binomials and guarded before any image is built.
+    from binomials and guarded before any V^g is built.
 
 The oracle shares no series or characteristic-polynomial code with the Molien
 path on purpose; agreement of the two is the correctness argument.
@@ -31,7 +34,7 @@ underlying geometric weight of a cell is m - p since each polyvector field
 lowers weight by one.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -40,7 +43,7 @@ from operator import mul
 from .exact import (BiSeries, InternalError, det_series_factor,
                     int_mat_mul, inverse_pair, mat_rank, transpose)
 from .groups import conjugacy_classes
-from .sectors import build_sector, monomials
+from .sectors import build_sector, fixed_geometry, monomials
 
 # oracle work, counted as projector entries plus images summed into them:
 # ORACLE_GUARD bounds one cell at worst (dim columns of dim entries, 40 MB),
@@ -64,19 +67,26 @@ class BasisTooLarge(RuntimeError):
     """The oracle's estimated work, for one cell or a whole job, is over its guard."""
 
 
-class HHReport:
-    """All sectors of one quotient plus their total, with the table conventions."""
+# every (sector, series) pair of one quotient plus their total
+HHReport = namedtuple("HHReport", "sectors total")
 
-    __slots__ = ("sectors", "total", "mode", "conventions")
 
-    def __init__(self, sectors, total, mode, conventions):
-        self.sectors = sectors
-        self.total = total
-        self.mode = mode
-        self.conventions = conventions
+class OracleSector:
+    """The oracle's own record of one sector ([g], V^g): the class, n, f,
+    c_g = n - f, the triple of sectors.fixed_geometry and, once made, the
+    tables of _oracle_tables."""
 
-    def __repr__(self):
-        return "HHReport(mode=%r, sectors=%d)" % (self.mode, len(self.sectors))
+    __slots__ = ("class_ref", "n", "fixed_dim", "c_g", "fixed_basis",
+                 "restricted_action", "det_normal_char", "_oracle")
+
+    def __init__(self, G, cls, f):
+        self.class_ref = cls
+        self.n = G.n
+        self.fixed_dim = f
+        self.c_g = G.n - f
+        self.fixed_basis, self.restricted_action, self.det_normal_char = \
+            fixed_geometry(G, cls, f)
+        self._oracle = None
 
 
 def _molien_average(sector, t_max, twisted):
@@ -317,7 +327,7 @@ def _sym_images(tables, f, k):
     return levels[k]
 
 
-def _cell_shape(sector, p, d, mode):
+def _cell_shape(f, p, d, mode):
     # (Sym degree, basis size) of one oracle cell, the size from binomials
     # alone: monomials of the Sym degree in f variables times p-subsets of f
     if mode == "forms":
@@ -326,15 +336,14 @@ def _cell_shape(sector, p, d, mode):
         deg = d
     else:
         raise ValueError("mode must be 'forms' or 'polyvectors_twisted'")
-    f = sector.fixed_dim
     if p < 0 or p > f or deg < 0:
         return deg, 0
     return deg, (comb(deg + f - 1, f - 1) if f else int(deg == 0)) * comb(f, p)
 
 
-def _cell_work(sector, dim):
-    # the projector's entries plus the images summed into it
-    return dim * dim + len(sector.class_ref.centralizer) * dim
+def _cell_work(z, dim):
+    # the projector's entries plus the images summed into it, z = |Z(g)|
+    return dim * dim + z * dim
 
 
 def brute_force_invariants(sector, p, d, mode):
@@ -350,7 +359,7 @@ def brute_force_invariants(sector, p, d, mode):
     takes the exact rank.  The centralizer acts in a reduced basis of its
     invariant lattice (Hermite form, then LLL), where every matrix and its
     inverse is integral, so the Sym images (built degree by degree) and the
-    Lambda minors, made once and kept on the Sector, are integer and the
+    Lambda minors, made once and kept on the OracleSector, are integer and the
     characters are +-1.  The 1/|Z| of the projector is left out, since no
     scaling changes a rank.  P rho(h) = chi_h P for h in Z(g), so when h maps
     a built basis vector to sum_k c_k e_k (c_k != 0) and the columns of all
@@ -359,10 +368,10 @@ def brute_force_invariants(sector, p, d, mode):
     A cell whose worst case, dim^2 entries plus summed images, exceeds
     ORACLE_GUARD raises BasisTooLarge before anything is built.
     """
-    deg, dim = _cell_shape(sector, p, d, mode)
+    deg, dim = _cell_shape(sector.fixed_dim, p, d, mode)
     if dim == 0:
         return 0
-    work = _cell_work(sector, dim)
+    work = _cell_work(len(sector.class_ref.centralizer), dim)
     if work > ORACLE_GUARD:
         raise BasisTooLarge("oracle cell has %d basis elements, work %d over the "
                             "guard %d" % (dim, work, ORACLE_GUARD))
@@ -410,37 +419,45 @@ def full_report(G, t_max, mode="homology"):
         s = series(sec, t_max)
         pairs.append((sec, s))
         total = total + s
-    conv = HOMOLOGY_CONVENTIONS if mode == "homology" else COHOMOLOGY_CONVENTIONS
-    return HHReport(tuple(pairs), total, mode, dict(conv))
+    return HHReport(tuple(pairs), total)
 
 
-def _oracle_work(sectors, t_max):
-    # the estimated work of every cell that oracle_verdict checks
-    return [_cell_work(sec, _cell_shape(sec, pdeg, d, kind)[1])
-            for sec in sectors for kind in ("forms", "polyvectors_twisted")
-            for pdeg in range(sec.fixed_dim + 1) for d in range(t_max + 1)]
+def _oracle_work(classes, tables, t_max):
+    # the estimated work of every cell that oracle_verdict checks, from each
+    # class's centralizer order and f, the u_max of its homology table
+    return [_cell_work(len(cls.centralizer), _cell_shape(hom.u_max, pdeg, d, kind)[1])
+            for cls, (hom, _) in zip(classes, tables)
+            for kind in ("forms", "polyvectors_twisted")
+            for pdeg in range(hom.u_max + 1) for d in range(t_max + 1)]
 
 
-def oracle_verdict(G, t_max):
-    """Check every Molien cell of both tables against the brute-force oracle.
+def oracle_verdict(G, tables):
+    """Check every cell of a report's tables against the brute-force oracle.
 
-    Before any image is built, the work of every cell is estimated from
-    binomials alone, as brute_force_invariants measures it; a cell over
-    ORACLE_GUARD or a total over ORACLE_WORK raises BasisTooLarge.
-    Returns None on full agreement, else a dict locating the first mismatch.
+    tables[i] is the (homology, cohomology) pair of BiSeries that
+    full_report made for the i-th class of conjugacy_classes(G); t_max is
+    theirs, and f is the u_max of the homology table.  Before any V^g is
+    built, the work of every cell is estimated from binomials alone, as
+    brute_force_invariants measures it; a cell over ORACLE_GUARD or a total
+    over ORACLE_WORK raises BasisTooLarge.  Then each class gets an
+    OracleSector of its own, which checks that dim V^g is f, and is dropped
+    once its cells are checked.  Returns None on full agreement, else a dict
+    locating the first mismatch.
     """
     classes = conjugacy_classes(G)
-    sectors = [build_sector(G, cls, classes) for cls in classes]
-    work = _oracle_work(sectors, t_max)
+    if len(tables) != len(classes):
+        raise InternalError("%d table pairs for %d classes; this is a bug, not bad input"
+                            % (len(tables), len(classes)))
+    t_max = tables[0][0].t_max
+    work = _oracle_work(classes, tables, t_max)
     if max(work) > ORACLE_GUARD or sum(work) > ORACLE_WORK:
         raise BasisTooLarge("oracle work estimate %d (largest cell %d) is over the "
                             "guard %d (per cell %d)"
                             % (sum(work), max(work), ORACLE_WORK, ORACLE_GUARD))
-    for idx, sec in enumerate(sectors):
-        for mode, series, kind, shift in (
-                ("homology", sector_hh_series, "forms", 0),
-                ("cohomology", sector_hhcoh_series, "polyvectors_twisted", sec.c_g)):
-            s = series(sec, t_max)
+    for idx, (cls, (hom, coh)) in enumerate(zip(classes, tables)):
+        sec = OracleSector(G, cls, hom.u_max)
+        for mode, s, kind, shift in (("homology", hom, "forms", 0),
+                                     ("cohomology", coh, "polyvectors_twisted", sec.c_g)):
             for pdeg in range(sec.fixed_dim + 1):
                 for d in range(t_max + 1):
                     want = brute_force_invariants(sec, pdeg, d, kind)
@@ -448,5 +465,5 @@ def oracle_verdict(G, t_max):
                     if got != want:
                         return {"mode": mode, "sector": idx, "degree": pdeg + shift,
                                 "weight": d, "molien": str(got), "oracle": str(want)}
-        sec._oracle = None  # every cell of this sector is checked
+        del sec  # its oracle tables go before the next class's V^g is built
     return None

@@ -2,11 +2,12 @@
 
 For each conjugacy class [g], given as element indices of the group: the
 dimension psi(1) of the fixed subspace V^g and the Molien route's terms,
-from the trace character of the closure alone; V^g = ker(g - I), the
-restricted centralizer action on it ((d, N) pairs in lowest terms) and the
-determinant character on the normal directions (ints +-1), made on the
-oracle's first read; and two bigraded Hilbert series that realize the
-derived fixed locus (Koszul side) and its shifted-tangent model.
+from the trace character of the closure alone (build_sector); for the
+oracle, V^g = ker(g - I) in the kernel's free coordinates, the restricted
+centralizer action on it ((d, N) pairs in lowest terms) and the determinant
+character on the normal directions (ints +-1) (fixed_geometry); and two
+bigraded Hilbert series that realize the derived fixed locus (Koszul side)
+and its shifted-tangent model.
 
 Weight conventions: coordinates x_i carry weight 1 and so do the 1-forms dx_i
 (equivalently the Koszul exterior generators); that choice is what makes the
@@ -16,9 +17,9 @@ two series below agree bidegree by bidegree.
 from itertools import combinations
 from math import comb
 
-from .exact import (QZERO, QONE, InternalError, NotInvertible, elementary_symmetric,
-                    int_mat_mul, integer_form, inverse_pair, lowest_terms,
-                    mat_det, mat_identity, mat_rank, mat_sub, nullspace_basis, rref)
+from .exact import (QZERO, QONE, InternalError, elementary_symmetric, int_mat_mul,
+                    integer_form, lowest_terms, mat_det, mat_identity, mat_rank,
+                    mat_sub, nullspace_basis)
 
 
 def monomials(nvars, degree):
@@ -35,113 +36,83 @@ def monomials(nvars, degree):
 
 
 class Sector:
-    """One twisted sector: class data plus the linear geometry of V^g.
+    """One twisted sector as the Molien tables read it: the class, n,
+    fixed_dim f = psi(1), c_g = n - f and the weighted terms of _trace_terms."""
 
-    Made eagerly: what the Molien tables read, fixed_dim = psi(1), c_g and
-    the terms of _trace_terms.  _geometry holds build_sector's V^g routine
-    until the first read of fixed_basis, restricted_action or det_normal_char
-    (the per-element tuples in centralizer order), which only the oracle
-    reads, and that triple after; _oracle holds the integer images that
-    hkr.brute_force_invariants keeps until oracle_verdict drops them.
-    """
+    __slots__ = ("class_ref", "n", "fixed_dim", "c_g", "terms")
 
-    __slots__ = ("class_ref", "n", "fixed_dim", "c_g", "terms", "_geometry", "_oracle")
-
-    def __init__(self, class_ref, n, fixed_dim, terms, geometry):
+    def __init__(self, class_ref, n, fixed_dim, terms):
         self.class_ref = class_ref
         self.n = n
         self.fixed_dim = fixed_dim
         self.c_g = n - fixed_dim
         self.terms = terms
-        self._geometry = geometry
-        self._oracle = None
-
-    def _read(self, i):
-        if callable(self._geometry):
-            self._geometry = self._geometry()
-        return self._geometry[i]
-
-    fixed_basis = property(lambda self: self._read(0))
-    restricted_action = property(lambda self: self._read(1))
-    det_normal_char = property(lambda self: self._read(2))
 
     def __repr__(self):
         return "Sector(f=%d, c=%d, class_size=%d)" % (
             self.fixed_dim, self.c_g, len(self.class_ref.members))
 
 
-def build_sector(G, cls, classes, complement=None):
-    """Assemble the Sector of a conjugacy class of element indices.
-
-    fixed_dim, c_g and terms come from _trace_terms, with no elimination;
-    the rest from the routine that the oracle's first read runs (Sector).
-    V^g is the nullspace of N - d I, (d, N) = G.elements[g] for the
-    representative g, and its dimension must be psi(1).  The normal
-    complement is chosen from coordinate vectors off the pivot columns of the
-    fixed basis unless an explicit column list is passed; the determinant
-    character lives on the quotient V/V^g, so the choice cannot matter.
-
-    In the basis B = [F | e_c for c in the complement], F the fixed basis,
-    h acts by [[A_h, *], [0, Q_h]]; the blocks are formed directly.  With P
-    the coordinates off the complement, B is invertible exactly when F_P
-    (the rows P of F) is, and then A_h = F_P^-1 (h F)[P], Q_h =
-    h[comp][comp] - F[comp] F_P^-1 h[P][comp], and the lower-left block
-    vanishes exactly when (h F)[comp] = F[comp] A_h.  Per element this is
-    integer arithmetic on h = N / d = G.elements[h]: F = Phi / delta,
-    F_P^-1 = delta Psi / eps, with R = Phi[comp] Psi made once.  A_h is the
-    pair (eps d, Psi (N Phi)[P]) in lowest terms, the same for every
-    complement, and the character det(eps d Q_h) / (eps d)^c must be +-1.
-    On that first read, not before, it raises ValueError for a wrong number
-    of columns, NotInvertible when they are no complement, InternalError on
-    a failed guard.
-    """
+def build_sector(G, cls, classes):
+    """The Sector of a conjugacy class of element indices, from _trace_terms
+    alone: the trace character of the closure, with no elimination."""
     f, terms = _trace_terms(G, cls, classes)
+    return Sector(cls, G.n, f, terms)
+
+
+def fixed_geometry(G, cls, f):
+    """The triple (fixed_basis, restricted_action, det_normal_char) of a
+    class whose fixed dimension by the trace average is f.
+
+    V^g is the nullspace of N - d I, (d, N) = G.elements[g] for the
+    representative g, and its dimension must be f.  Each basis vector is 1
+    at its own free column and 0 at every other one (nullspace_basis), so
+    with P the free columns, each vector's last nonzero entry, and
+    (delta, Phi) = integer_form of the fixed basis F (columns), the rows P of
+    Phi are delta I.  The normal complement is spanned by the coordinate
+    vectors e_c, c in comp, the coordinates off P; the determinant character
+    lives on the quotient V/V^g, so the choice cannot matter.
+
+    In the basis [F | e_c for c in comp], h = N / d = G.elements[h] acts by
+    [[A_h, *], [0, Q_h]]: A_h = (h F)[P] is the pair (delta d, (N Phi)[P]) in
+    lowest terms, delta d Q_h = delta N[comp][comp] - Phi[comp] N[P][comp],
+    and the lower-left block vanishes exactly when
+    Phi[comp] (N Phi)[P] = delta (N Phi)[comp].  The character
+    det(delta d Q_h) / (delta d)^c must be +-1.  Both tuples are in the order
+    of cls.centralizer; a failed guard raises InternalError.
+    """
+    d, N = G.elements[cls.representative]
+    fixed = nullspace_basis([[x - d if i == j else x for j, x in enumerate(row)]
+                             for i, row in enumerate(N)])
+    if len(fixed) != f:
+        raise InternalError("the trace average of <g> is %d, not the fixed dimension "
+                            "%d; this is a bug, not bad input" % (f, len(fixed)))
     n, c = G.n, G.n - f
+    P = [max(i for i, x in enumerate(v) if x) for v in fixed]
+    comp = [j for j in range(n) if j not in P]
+    delta, Phi = integer_form(tuple(tuple(v[i] for v in fixed) for i in range(n)))
+    R = [Phi[i] for i in comp]
 
-    def geometry():
-        d, N = G.elements[cls.representative]
-        fixed = nullspace_basis([[x - d if i == j else x for j, x in enumerate(row)]
-                                 for i, row in enumerate(N)])
-        if len(fixed) != f:
-            raise InternalError("the trace average of <g> is %d, not the fixed dimension "
-                                "%d; this is a bug, not bad input" % (f, len(fixed)))
-        if complement is None:
-            pivots = rref(fixed)[1] if fixed else []
-            comp = [j for j in range(n) if j not in set(pivots)]
-        else:
-            comp = list(complement)
-            if len(comp) != c:
-                raise ValueError("complement needs %d columns, got %d" % (c, len(comp)))
-        P = [j for j in range(n) if j not in comp]
-        if len(P) != f:
-            raise NotInvertible("complement columns repeat or lie outside 0..%d" % (n - 1))
-        _, Phi = integer_form(tuple(tuple(v[i] for v in fixed) for i in range(n)))
-        # inverse_pair raises NotInvertible when comp is no complement
-        eps, Psi = inverse_pair([Phi[i] for i in P])
-        R = int_mat_mul([Phi[i] for i in comp], Psi)
+    def element(h):
+        # (A_h, chi_h) of element h, both guards checked
+        d, N = G.elements[h]
+        NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
+        X = tuple(NPhi[i] for i in P)
+        if int_mat_mul(R, X) != tuple(tuple(delta * y for y in NPhi[i]) for i in comp):
+            raise InternalError(
+                "centralizer element does not preserve the fixed subspace; "
+                "this is a bug, not bad input")
+        # delta d Q_h is integral and Q_h has finite order, so det Q_h = +-1
+        Q = [[delta * N[i][j] - sum(r * N[p][j] for r, p in zip(R[a], P))
+              for j in comp] for a, i in enumerate(comp)]
+        det, unit = mat_det(Q), (delta * d) ** c
+        if det not in (unit, -unit):
+            raise InternalError(
+                "the determinant of a centralizer element on the normal "
+                "directions is not +-1; this is a bug, not bad input")
+        return lowest_terms(delta * d, X), 1 if det == unit else -1
 
-        def element(h):
-            # (A_h, chi_h) of element h, both guards checked
-            d, N = G.elements[h]
-            NPhi = int_mat_mul(N, Phi)  # column k: d delta h times the k-th fixed vector
-            X = [NPhi[i] for i in P]
-            if int_mat_mul(R, X) != tuple(tuple(eps * y for y in NPhi[i]) for i in comp):
-                raise InternalError(
-                    "centralizer element does not preserve the fixed subspace; "
-                    "this is a bug, not bad input")
-            # eps d Q_h is integral and Q_h has finite order, so det Q_h = +-1
-            Q = [[eps * N[i][j] - sum(R[a][k] * N[p][j] for k, p in enumerate(P))
-                  for j in comp] for a, i in enumerate(comp)]
-            det, unit = mat_det(Q), (eps * d) ** c
-            if det not in (unit, -unit):
-                raise InternalError(
-                    "the determinant of a centralizer element on the normal "
-                    "directions is not +-1; this is a bug, not bad input")
-            return lowest_terms(eps * d, int_mat_mul(Psi, X)), 1 if det == unit else -1
-
-        return (tuple(fixed),) + tuple(zip(*map(element, cls.centralizer)))
-
-    return Sector(cls, n, f, terms, geometry)
+    return (tuple(fixed),) + tuple(zip(*map(element, cls.centralizer)))
 
 
 def _trace_terms(G, cls, classes):

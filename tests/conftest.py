@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from orbifold_hkr import generate
+from orbifold_hkr import conjugacy_classes, generate
+from orbifold_hkr.hkr import OracleSector
+from orbifold_hkr.sectors import build_sector
 
 F = Fraction
 
@@ -66,6 +68,18 @@ def sweep_groups():
 @pytest.fixture(scope="session")
 def zoo_groups():
     return {name: generate(gens, 100000) for name, gens in ZOO.items()}
+
+
+def oracle_sector(G, cls, classes):
+    """The oracle's record of the class cls, with the fixed dimension f that
+    the Molien sector (and so the report's homology table) gives it."""
+    return OracleSector(G, cls, build_sector(G, cls, classes).fixed_dim)
+
+
+def oracle_sectors(G):
+    """The oracle's record of every class of G, in class order."""
+    classes = conjugacy_classes(G)
+    return [oracle_sector(G, cls, classes) for cls in classes]
 
 
 def fraction_gauss_jordan(A):

@@ -226,7 +226,7 @@ def test_main_determinant_not_a_unit_exit_3(tmp_path, capsys):
 
 def test_main_oracle_checks_the_fixed_dimension(tmp_path, capsys, monkeypatch):
     # the report takes f from the trace average alone; under --oracle the
-    # first read of V^g compares it with the nullspace, here one vector short
+    # oracle's V^g step compares it with the nullspace, here one vector short
     real = sectors.nullspace_basis
     monkeypatch.setattr(sectors, "nullspace_basis", lambda A: real(A)[1:])
     doc = {"command": "quotient", "t_max": 2,
@@ -342,6 +342,21 @@ def test_main_flag_overrides(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert list(report["HH"]["0"]) == ["0", "1", "2"]
     assert report["input"]["t_max"] == 2
+
+
+def test_main_t_max_and_cap_flags_are_checked_like_the_fields(tmp_path, capsys):
+    # the flags go through the validator of the job fields, with its messages
+    spec = tmp_path / "job.json"
+    spec.write_text('{"command": "quotient", "generators": [[["-1"]]], "t_max": 4}')
+    for flags, message in ((["--t-max", "-1"], "t_max: must be at least 0"),
+                           (["--cap", "0"], "cap: must be at least 1")):
+        assert main(["quotient", "--spec", str(spec)] + flags) == 2
+        assert capsys.readouterr() == ("", "input error: %s\n" % message)
+    # t_max 4 on A^1 gives 10 cells per table, and the bound is inclusive
+    assert main(["quotient", "--spec", str(spec), "--cap", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["cap"] == 10
+    assert main(["quotient", "--spec", str(spec), "--cap", "9"]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: t_max = 4 on A^1")
 
 
 def test_main_oracle_disagreement_exit_4(tmp_path, capsys, monkeypatch):

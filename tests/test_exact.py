@@ -12,10 +12,8 @@ from orbifold_hkr.exact import (BadRational, BiSeries, InternalError, NotInverti
                                 mat_det, mat_identity, mat_inv, mat_mul,
                                 mat_rank, nullspace_basis, parse_rational,
                                 rational_matrix, rref, smith_normal_form)
-from orbifold_hkr.groups import conjugacy_classes, generate
-from orbifold_hkr.sectors import build_sector
-
-from conftest import B3, B3_BASIS, fraction_gauss_jordan, m
+from orbifold_hkr.groups import generate
+from conftest import B3, B3_BASIS, fraction_gauss_jordan, m, oracle_sectors
 
 F = Fraction
 
@@ -95,10 +93,8 @@ def _finite_order_cases(zoo_groups):
     cases = [rational_matrix(*e) for G in list(zoo_groups.values()) + [b3]
              for e in G.elements]
     for G in zoo_groups.values():
-        classes = conjugacy_classes(G)
-        for cls in classes:
-            cases.extend(rational_matrix(*A)
-                         for A in build_sector(G, cls, classes).restricted_action)
+        for sec in oracle_sectors(G):
+            cases.extend(rational_matrix(*A) for A in sec.restricted_action)
     return cases + [()]
 
 
@@ -291,7 +287,14 @@ def test_kernel_matches_fraction_gauss_jordan():
                     for row, p in zip(rows, pivots):
                         v[p] = -row[f]
                     want.append(tuple(v))
-            assert nullspace_basis(A) == want
+            basis = nullspace_basis(A)
+            assert basis == want
+            # each vector's last nonzero entry is a 1 in its own free column,
+            # and every other vector is 0 there
+            for k, v in enumerate(basis):
+                last = max(i for i, x in enumerate(v) if x)
+                assert v[last] == 1 and last not in pivots
+                assert not any(w[last] for w in basis[:k] + basis[k + 1:])
         if len(A) == ncols:
             assert mat_det(A) == det
             n = len(A)

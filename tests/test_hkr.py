@@ -9,17 +9,18 @@ from types import FunctionType
 import pytest
 
 from orbifold_hkr import cli, exact, hkr, sectors
-from orbifold_hkr.exact import (BiSeries, det_series_factor, mat_det, mat_inv,
-                                mat_mul, rational_matrix, rref, transpose)
+from orbifold_hkr.exact import (BiSeries, InternalError, det_series_factor, mat_det,
+                                mat_inv, mat_mul, rational_matrix, transpose)
 from orbifold_hkr.groups import conjugacy_classes, generate
-from orbifold_hkr.hkr import (BasisTooLarge, brute_force_invariants, full_report,
-                              oracle_verdict, sector_hh_series,
+from orbifold_hkr.hkr import (BasisTooLarge, OracleSector, brute_force_invariants,
+                              full_report, oracle_verdict, sector_hh_series,
                               sector_hhcoh_series)
 from orbifold_hkr.sectors import build_sector, monomials
 
 from conftest import (B3, B3_BASIS, B4_CARTAN, D4_CARTAN, MINUS_I2, ROT4, S3_PERM,
-                      SIGN_1D, cartan_generators, char_key, fraction_gauss_jordan, m)
-from test_sectors import _conjugation_blocks
+                      SIGN_1D, cartan_generators, char_key, fraction_gauss_jordan, m,
+                      oracle_sectors)
+from test_sectors import _conjugation_blocks, normal_complement
 
 F = Fraction
 
@@ -28,6 +29,12 @@ def _sectors(G):
     # as full_report builds them: central classes take one term per G-class
     classes = conjugacy_classes(G)
     return [build_sector(G, cls, classes) for cls in classes]
+
+
+def _tables(G, t_max):
+    # the (homology, cohomology) table pairs of a report, in class order
+    hom, coh = full_report(G, t_max, "homology"), full_report(G, t_max, "cohomology")
+    return [(s, s2) for (_, s), (_, s2) in zip(hom.sectors, coh.sectors)]
 
 
 def _trivial_group(n):
@@ -104,13 +111,13 @@ def test_sign_untwisted_cohomology_polyvector_row():
 
 def test_oracle_trivial_group():
     G = _trivial_group(1)
-    sec = _sectors(G)[0]
+    sec = oracle_sectors(G)[0]
     assert brute_force_invariants(sec, 0, 5, "forms") == 1
 
 
 def test_oracle_sign_action_form_cell():
     G = generate(SIGN_1D, 100)
-    e = _sectors(G)[0]
+    e = oracle_sectors(G)[0]
     # x dx picks up (-1)(-1) = +1, so the weight-2 one-form line is invariant
     assert brute_force_invariants(e, 1, 2, "forms") == 1
     assert brute_force_invariants(e, 1, 1, "forms") == 0
@@ -118,13 +125,13 @@ def test_oracle_sign_action_form_cell():
 
 def test_oracle_s3_quadrics():
     G = generate(S3_PERM, 100000)
-    e = _sectors(G)[0]
+    e = oracle_sectors(G)[0]
     assert brute_force_invariants(e, 0, 2, "forms") == 2
 
 
 def test_oracle_guard():
     G = _trivial_group(8)
-    sec = _sectors(G)[0]
+    sec = oracle_sectors(G)[0]
     with pytest.raises(BasisTooLarge):
         brute_force_invariants(sec, 4, 16, "forms")
     assert sec._oracle is None  # the guard runs before any image is built
@@ -136,11 +143,12 @@ def test_oracle_cell_guard_boundary(monkeypatch):
     G = generate(S3_PERM, 100000)
     work = 18 * 18 + 6 * 18
     monkeypatch.setattr(hkr, "ORACLE_GUARD", work)
-    sec = _sectors(G)[0]
+    sec = oracle_sectors(G)[0]
     assert sec.fixed_dim == 3
-    assert brute_force_invariants(sec, 1, 3, "forms") == sector_hh_series(sec, 3).coeff(1, 3)
+    want = sector_hh_series(_sectors(G)[0], 3).coeff(1, 3)
+    assert brute_force_invariants(sec, 1, 3, "forms") == want
     monkeypatch.setattr(hkr, "ORACLE_GUARD", work - 1)
-    sec = _sectors(G)[0]
+    sec = oracle_sectors(G)[0]
     with pytest.raises(BasisTooLarge):
         brute_force_invariants(sec, 1, 3, "forms")
     assert sec._oracle is None
@@ -166,24 +174,26 @@ def test_oracle_work_guard_boundary(monkeypatch):
     assert (total, largest) == (12780, 2295)
     monkeypatch.setattr(hkr, "ORACLE_WORK", total)
     monkeypatch.setattr(hkr, "ORACLE_GUARD", largest)
-    assert oracle_verdict(G, 4) is None
+    tables = _tables(G, 4)
+    assert oracle_verdict(G, tables) is None
 
-    def no_images(sector):
-        raise AssertionError("an oracle image was built")
+    def no_fixed_subspace(G, cls, f):
+        raise AssertionError("a V^g was built")
 
-    monkeypatch.setattr(hkr, "_oracle_tables", no_images)
+    # the job guard reads the centralizer orders and the tables alone
+    monkeypatch.setattr(hkr, "fixed_geometry", no_fixed_subspace)
     for work, guard in ((total - 1, largest), (total, largest - 1)):
         monkeypatch.setattr(hkr, "ORACLE_WORK", work)
         monkeypatch.setattr(hkr, "ORACLE_GUARD", guard)
         with pytest.raises(BasisTooLarge):
-            oracle_verdict(G, 4)
+            oracle_verdict(G, tables)
 
 
 def test_oracle_guards_admit_s5_through_t_max_6():
     G = generate(_adjacent_transpositions(5), 1000)
     for t_max, admitted in ((6, True), (7, False)):
         total, largest = _oracle_work_by_hand(G, t_max)
-        work = hkr._oracle_work(_sectors(G), t_max)
+        work = hkr._oracle_work(conjugacy_classes(G), _tables(G, t_max), t_max)
         assert (sum(work), max(work)) == (total, largest)
         assert (total <= hkr.ORACLE_WORK and largest <= hkr.ORACLE_GUARD) == admitted
 
@@ -191,7 +201,7 @@ def test_oracle_guards_admit_s5_through_t_max_6():
 def test_oracle_rejects_unknown_mode():
     G = _trivial_group(1)
     with pytest.raises(ValueError):
-        brute_force_invariants(_sectors(G)[0], 0, 0, "nope")
+        brute_force_invariants(oracle_sectors(G)[0], 0, 0, "nope")
 
 
 # full reports ----------------------------------------------------------------------
@@ -251,7 +261,13 @@ def test_s3_invariant_ring_dimensions():
 
 def test_oracle_verdict_smoke():
     G = generate(SIGN_1D, 100)
-    assert oracle_verdict(G, 4) is None
+    assert oracle_verdict(G, _tables(G, 4)) is None
+
+
+def test_oracle_verdict_needs_one_table_pair_per_class():
+    G = generate(SIGN_1D, 100)
+    with pytest.raises(InternalError, match="1 table pairs for 2 classes"):
+        oracle_verdict(G, _tables(G, 4)[:1])
 
 
 def _key_and_e(A):
@@ -294,9 +310,9 @@ def _per_element_hhcoh(sec, t_max):
 
 def test_grouped_molien_sums_match_per_element_sums(zoo_groups):
     for G in zoo_groups.values():
-        for sec in _sectors(G):
-            assert sector_hh_series(sec, 8) == _per_element_hh(sec, 8)
-            assert sector_hhcoh_series(sec, 8) == _per_element_hhcoh(sec, 8)
+        for sec, oracle in zip(_sectors(G), oracle_sectors(G)):
+            assert sector_hh_series(sec, 8) == _per_element_hh(oracle, 8)
+            assert sector_hhcoh_series(sec, 8) == _per_element_hhcoh(oracle, 8)
 
 
 def test_molien_key_is_computed_once_per_term(zoo_groups, monkeypatch):
@@ -397,7 +413,7 @@ def _reference_oracle(sector, p, d, mode):
 
 
 def _assert_oracle_matches_reference(G, t_max):
-    for sec in _sectors(G):
+    for sec in oracle_sectors(G):
         for mode in ("forms", "polyvectors_twisted"):
             for p in range(sec.fixed_dim + 1):
                 for d in range(t_max + 1):
@@ -414,7 +430,7 @@ def test_oracle_matches_fraction_reference_on_b3_conjugate():
     # non-integer entries and sectors where the normal character is -1
     G = generate(tuple(mat_mul(mat_mul(B3_BASIS, g), mat_inv(B3_BASIS))
                        for g in B3), 1000)
-    secs = _sectors(G)
+    secs = oracle_sectors(G)
     assert any(F(-1) in s.det_normal_char for s in secs)
     # some element has a non-integer entry: its common denominator d is > 1
     assert any(d > 1 for d, _ in G.elements)
@@ -453,7 +469,7 @@ def test_molien_keys_and_sector_pairs_do_not_depend_on_the_basis(gens, P):
     # every restricted action is a (d, N) pair in lowest terms and every
     # character is the int 1 or -1
     for G in (plain, conj):
-        for sec in _sectors(G):
+        for sec in oracle_sectors(G):
             for d, N in sec.restricted_action:
                 assert d > 0 and gcd(d, *[x for row in N for x in row]) == 1
             assert set(sec.det_normal_char) <= {1, -1}
@@ -462,9 +478,9 @@ def test_molien_keys_and_sector_pairs_do_not_depend_on_the_basis(gens, P):
 
 def test_oracle_in_a_basis_with_denominators_matches_the_permutation_basis():
     S4 = _adjacent_transpositions(4)
-    plain = _sectors(generate(S4, 1000))
-    conj = _sectors(generate(tuple(mat_mul(mat_mul(DET8, g), mat_inv(DET8))
-                                   for g in S4), 1000))
+    plain = oracle_sectors(generate(S4, 1000))
+    conj = oracle_sectors(generate(tuple(mat_mul(mat_mul(DET8, g), mat_inv(DET8))
+                                         for g in S4), 1000))
     assert {x.denominator for s in conj for A in s.restricted_action
             for row in rational_matrix(*A) for x in row} == {1, 2, 4, 5}
     for a, b in zip(plain, conj):
@@ -494,16 +510,20 @@ def _b4():
     return _adjacent_transpositions(4) + (signs,)
 
 
-def _weighted_and_per_element(sec):
-    # the (key, character) multiset of the sector's weighted terms, and the
-    # one over every centralizer element through the per-element tuples,
-    # each key a reference characteristic polynomial of A_h in Fractions
+def _weighted(sec):
+    # the (key, character) multiset of the sector's weighted terms
     weighted = Counter()
     for key, chi, weight in sec.terms:
         weighted[key, chi] += weight
-    per_element = Counter(zip((char_key(rational_matrix(*A)) for A in sec.restricted_action),
-                              sec.det_normal_char))
-    return weighted, per_element
+    return weighted
+
+
+def _per_element(oracle):
+    # the same multiset over every centralizer element through the oracle's
+    # per-element tuples, each key a reference characteristic polynomial of
+    # A_h in Fractions
+    return Counter(zip((char_key(rational_matrix(*A)) for A in oracle.restricted_action),
+                       oracle.det_normal_char))
 
 
 def _conjugate_group(gens, P):
@@ -517,7 +537,7 @@ def test_class_terms_of_central_sectors_match_every_element(zoo_groups):
     central = 0
     for G in groups:
         classes = conjugacy_classes(G)
-        for sec in _sectors(G):
+        for sec, oracle in zip(_sectors(G), oracle_sectors(G)):
             cls = sec.class_ref
             if len(cls.members) > 1:
                 # one or two terms per <g>-coset, weights summing to |Z(g)|
@@ -527,8 +547,8 @@ def test_class_terms_of_central_sectors_match_every_element(zoo_groups):
             central += 1
             assert len(sec.terms) == len(classes)
             assert [w for _, _, w in sec.terms] == [len(c.members) for c in classes]
-            weighted, per_element = _weighted_and_per_element(sec)
-            assert weighted == per_element, sec
+            weighted = _weighted(sec)
+            assert weighted == _per_element(oracle), sec
             assert sum(weighted.values()) == G.order
     # every group has the identity sector, and -1 or an abelian group adds more
     assert central > len(groups)
@@ -540,8 +560,7 @@ def test_class_terms_of_central_sectors_do_not_depend_on_the_basis(gens, P):
     # conjugate groups enumerate their elements in the same order, so the
     # central sectors line up and their weighted multisets must be equal
     def central_terms(G):
-        return [_weighted_and_per_element(sec)[0] for sec in _sectors(G)
-                if len(sec.class_ref.members) == 1]
+        return [_weighted(sec) for sec in _sectors(G) if len(sec.class_ref.members) == 1]
 
     assert central_terms(_conjugate_group(gens, P)) == central_terms(generate(gens, 1000))
 
@@ -558,8 +577,8 @@ def test_b4_totals_do_not_change_when_the_generators_are_reversed():
 
 def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
     # the terms come from traces, so building a sector computes no element
-    # data; the first read of the per-element tuples computes each
-    # centralizer element's once, for both tuples
+    # data; the oracle's record computes each centralizer element's once,
+    # for both tuples
     calls = []
     real = sectors.lowest_terms
     monkeypatch.setattr(sectors, "lowest_terms", lambda *a: calls.append(a) or real(*a))
@@ -569,7 +588,8 @@ def test_element_data_is_computed_once_per_sector(zoo_groups, monkeypatch):
             calls.clear()
             sec = build_sector(G, cls, classes)
             assert calls == []
-            assert len(sec.restricted_action) == len(sec.det_normal_char) \
+            oracle = OracleSector(G, cls, sec.fixed_dim)
+            assert len(oracle.restricted_action) == len(oracle.det_normal_char) \
                 == len(cls.centralizer)
             assert len(calls) == len(cls.centralizer)
 
@@ -599,20 +619,24 @@ def test_b4_job_keys_and_elements_within_its_pins(monkeypatch):
     assert counts["element"] == 0
 
 
-def test_every_sector_keeps_its_element_routine_until_the_first_read():
-    # V^g and the per-element tuples have one source, the routine with the
-    # element routine inside, which every sector keeps until any of them is
-    # first read and replaces by the tuple (fixed_basis, actions, chars)
+def test_report_builds_no_oracle_record(monkeypatch):
+    # V^g and the per-element tuples have one source, fixed_geometry, which
+    # only the oracle's records call: with it made to raise, both reports of
+    # central and non-central sectors are made; each record then holds V^g
+    # and one action and character per centralizer element
+    def no_fixed_subspace(G, cls, f):
+        raise AssertionError("a report built a V^g")
+
     for G in (generate(_b4(), 1000), _conjugate_group(B3, B3_BASIS)):
-        secs = _sectors(G)
+        with monkeypatch.context() as patch:
+            patch.setattr(hkr, "fixed_geometry", no_fixed_subspace)
+            tables = _tables(G, 3)
+        secs = oracle_sectors(G)
         assert {len(sec.class_ref.members) > 1 for sec in secs} == {False, True}
-        for sec in secs:
-            assert callable(sec._geometry)
-            action = sec.restricted_action
-            assert isinstance(sec._geometry, tuple)
-            assert sec.restricted_action is action
-            assert sec._geometry == (sec.fixed_basis, action, sec.det_normal_char)
-            assert len(sec.det_normal_char) == len(action) == len(sec.class_ref.centralizer)
+        for sec, (hom, _) in zip(secs, tables):
+            assert len(sec.fixed_basis) == sec.fixed_dim == hom.u_max
+            assert (len(sec.det_normal_char) == len(sec.restricted_action)
+                    == len(sec.class_ref.centralizer))
 
 
 def _coset_groups(zoo_groups):
@@ -669,7 +693,7 @@ def test_molien_route_reads_no_element_data():
     # routine, the per-element tuples or the matrix kernels behind them
     banned = {"_element", "element", "int_mat_mul", "mat_det", "nullspace_basis",
               "restricted_action", "det_normal_char", "lowest_terms", "fixed_basis",
-              "_geometry", "geometry"}
+              "fixed_geometry", "OracleSector"}
     terms, average = _code_names(sectors._trace_terms), _code_names(hkr._molien_average)
     assert "_trace_terms" in _code_names(sectors.build_sector)
     assert "cosets" in terms and "elementary_symmetric" in terms
@@ -697,7 +721,7 @@ def test_report_path_makes_no_elimination(zoo_groups, monkeypatch):
         patch.setattr(exact, "_echelon", echelon)
         assert [tables(G) for G in groups] == want
     for G in groups:
-        for sec in _sectors(G):
+        for sec in oracle_sectors(G):
             g = rational_matrix(*G.elements[sec.class_ref.representative])
             kernel = exact.nullspace_basis(exact.mat_sub(g, exact.mat_identity(G.n)))
             assert sec.fixed_dim == len(sec.fixed_basis) == len(kernel), sec
@@ -710,9 +734,8 @@ def test_newton_keys_match_a_fraction_characteristic_polynomial(zoo_groups):
     # rational and root bases
     groups = _coset_groups(zoo_groups) + [generate(cartan_generators(B4_CARTAN), 1000)]
     for G in groups:
-        for sec in _sectors(G):
-            weighted, per_element = _weighted_and_per_element(sec)
-            assert weighted == per_element, sec
+        for sec, oracle in zip(_sectors(G), oracle_sectors(G)):
+            assert _weighted(sec) == _per_element(oracle), sec
             assert {len(key) for key, _, _ in sec.terms} == {sec.fixed_dim + 1}
 
 
@@ -723,17 +746,14 @@ def test_coset_terms_match_every_element_by_conjugation(zoo_groups):
     groups = _coset_groups(zoo_groups)
     non_central = odd = 0
     for G in groups:
-        for sec in _sectors(G):
+        for sec, oracle in zip(_sectors(G), oracle_sectors(G)):
             cls = sec.class_ref
-            pivots = rref(sec.fixed_basis)[1] if sec.fixed_basis else []
-            default = [j for j in range(G.n) if j not in pivots]
-            assert (sec.restricted_action, sec.det_normal_char) == \
-                _conjugation_blocks(G, cls, default), sec
-            weighted, per_element = _weighted_and_per_element(sec)
-            assert weighted == per_element, sec
+            assert (oracle.restricted_action, oracle.det_normal_char) == \
+                _conjugation_blocks(G, cls, normal_complement(G, cls)), sec
+            assert _weighted(sec) == _per_element(oracle), sec
             if len(cls.members) > 1:
                 non_central += 1
-                odd += sec.det_normal_char[cls.centralizer.index(cls.representative)] == -1
+                odd += oracle.det_normal_char[cls.centralizer.index(cls.representative)] == -1
     assert non_central > len(groups)
     assert odd
 
@@ -744,7 +764,7 @@ def _cell_elements(sec, p, d, mode):
     # one oracle cell from the oracle's own tables: its dimension, ns = the
     # number of p-subsets and, per centralizer element h, (chi_h, the shared
     # Sym image of each monomial, the Lambda^p minors)
-    deg, dim = hkr._cell_shape(sec, p, d, mode)
+    deg, dim = hkr._cell_shape(sec.fixed_dim, p, d, mode)
     tables = hkr._oracle_tables(sec)
     chars = (sec.det_normal_char if mode == "polyvectors_twisted"
              else [1] * len(sec.class_ref.centralizer))
@@ -793,7 +813,7 @@ def _dense_projector(dim, ns, elements):
 def _oracle_cells(sec, t_max):
     return [(p, d, mode) for mode in ("forms", "polyvectors_twisted")
             for p in range(sec.fixed_dim + 1) for d in range(t_max + 1)
-            if hkr._cell_shape(sec, p, d, mode)[1]]
+            if hkr._cell_shape(sec.fixed_dim, p, d, mode)[1]]
 
 
 @pytest.mark.parametrize("gens, P", [(B3, B3_BASIS), (_adjacent_transpositions(4), DET8)],
@@ -801,7 +821,7 @@ def _oracle_cells(sec, t_max):
 def test_projector_times_rho_is_the_character_times_the_projector(gens, P):
     # the identity behind every column that brute_force_invariants skips,
     # and the grouped dense P against the literal sum of the rho(h)
-    for sec in _sectors(_conjugate_group(gens, P)):
+    for sec in oracle_sectors(_conjugate_group(gens, P)):
         for p, d, mode in _oracle_cells(sec, 3):
             dim, ns, elements = _cell_elements(sec, p, d, mode)
             P_cell = _dense_projector(dim, ns, elements)
@@ -825,7 +845,7 @@ def test_oracle_by_columns_matches_the_dense_projector_in_root_bases():
     # permutations, so the oracle builds some of their columns and skips
     # others; the dense P is ranked on its distinct rows
     for A in (D4_CARTAN, B4_CARTAN):
-        secs = _sectors(generate(cartan_generators(A), 1000))
+        secs = oracle_sectors(generate(cartan_generators(A), 1000))
         for sec in secs:
             for p, d, mode in _oracle_cells(sec, 4):
                 P = _dense_projector(*_cell_elements(sec, p, d, mode))
@@ -866,7 +886,7 @@ def test_sym_images_are_shared_and_match_each_elements_expansion(zoo_groups):
               (generate(cartan_generators(B4_CARTAN), 1000), 4),
               (generate(_adjacent_transpositions(4), 1000), 6)]
     for G, t_max in cases:
-        for sec in _sectors(G):
+        for sec in oracle_sectors(G):
             f, tables = sec.fixed_dim, hkr._oracle_tables(sec)
             expanded = [_per_element_images(B, f, t_max) for B in tables["dual"]]
             for k in range(t_max + 1):
@@ -879,7 +899,7 @@ def test_sym_images_are_shared_and_match_each_elements_expansion(zoo_groups):
                         shared.setdefault(frozenset(image.items()), set()).add(r)
                 assert all(len(rs) == 1 for rs in shared.values()), (sec, k)
                 assert len(shared) == len(images), (sec, k)
-    identity = _sectors(generate(_adjacent_transpositions(4), 1000))[0]
+    identity = oracle_sectors(generate(_adjacent_transpositions(4), 1000))[0]
     tables = hkr._oracle_tables(identity)
     assert sum(len(hkr._sym_images(tables, 4, k)[0]) for k in range(7)) == 210
 
@@ -935,9 +955,12 @@ def test_lll_reduce_is_size_reduced_and_lovasz_under_q():
 
 
 def test_oracle_code_shares_nothing_with_molien():
-    # every name the oracle's code reads, following its helpers in hkr
+    # every name the oracle's code reads, from the verdict and the cell
+    # routine, following the functions and the classes' methods of hkr and
+    # sectors that it names
+    modules = (hkr, sectors)
     seen, names = set(), set()
-    todo = [hkr.brute_force_invariants.__code__]
+    todo = [hkr.oracle_verdict.__code__, hkr.brute_force_invariants.__code__]
     while todo:
         code = todo.pop()
         if code in seen:
@@ -945,40 +968,52 @@ def test_oracle_code_shares_nothing_with_molien():
         seen.add(code)
         names.update(code.co_names)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_names"))
-        todo.extend(v.__code__ for n, v in vars(hkr).items()
-                    if n in code.co_names and isinstance(v, FunctionType)
-                    and v.__module__ == hkr.__name__)
+        for module in modules:
+            for n, v in vars(module).items():
+                if n not in code.co_names or getattr(v, "__module__", None) != module.__name__:
+                    continue
+                if isinstance(v, FunctionType):
+                    todo.append(v.__code__)
+                elif isinstance(v, type):
+                    todo.extend(f.__code__ for f in vars(v).values()
+                                if isinstance(f, FunctionType))
     assert "_oracle_tables" in names and "_sym_images" in names
     assert "restricted_action" in names and "det_normal_char" in names
-    assert not names & {"elementary_symmetric", "det_series_factor", "_molien_average",
-                        "terms"}
+    assert "fixed_geometry" in names and "nullspace_basis" in names
+    assert not names & {"build_sector", "_trace_terms", "sector_hh_series",
+                        "sector_hhcoh_series", "_molien_average", "elementary_symmetric",
+                        "det_series_factor", "terms"}
 
 
 def test_oracle_builds_its_per_element_data_only_when_asked(monkeypatch):
     # the Molien tables read the weighted terms alone, so without --oracle no
-    # sector makes its V^g, per-element tuples or oracle tables; the oracle's
-    # sectors make both, each its tables once, and drop the tables when
-    # their cells are checked
-    built, tabled = [], []
-    real, real_tables = hkr.build_sector, hkr._oracle_tables
+    # record, V^g, per-element tuple or oracle table is made; an --oracle job
+    # builds one record per class, in class order, which computes each
+    # centralizer element's data once and its oracle tables once
+    built, tabled, elements = [], [], []
+    real_record, real_tables = hkr.OracleSector, hkr._oracle_tables
+    real_pair = sectors.lowest_terms
+
+    def record(G, cls, f):
+        built.append(real_record(G, cls, f))
+        return built[-1]
 
     def tables(sec):
         if sec._oracle is None:
             tabled.append(sec)
         return real_tables(sec)
 
-    monkeypatch.setattr(hkr, "build_sector", lambda *a: built.append(real(*a)) or built[-1])
+    monkeypatch.setattr(hkr, "OracleSector", record)
     monkeypatch.setattr(hkr, "_oracle_tables", tables)
+    monkeypatch.setattr(sectors, "lowest_terms", lambda *a: elements.append(a) or real_pair(*a))
     doc = {"command": "quotient", "t_max": 3,
            "generators": [[[str(x) for x in row] for row in g] for g in B3]}
     cli.run(cli.parse_jobspec(json.dumps(doc)))
-    assert len(built) == 2 * len(conjugacy_classes(generate(B3, 1000)))
-    assert all(callable(sec._geometry) and sec._oracle is None for sec in built)
-    assert not tabled
-    built.clear()
+    assert not built and not tabled and not elements
     report = cli.run(cli.parse_jobspec(json.dumps(dict(doc, oracle=True))))
     assert report["oracle"]["agreement"] is True
-    oracle_sectors = built[-len(report["sectors"]):]
-    assert sorted(map(id, tabled)) == sorted(map(id, oracle_sectors))
-    assert all(isinstance(sec._geometry, tuple) and sec._oracle is None
-               for sec in oracle_sectors)
+    classes = conjugacy_classes(generate(B3, 1000))
+    assert [sec.class_ref for sec in built] == classes
+    assert [sec.fixed_dim for sec in built] == [s["fixed_dim"] for s in report["sectors"]]
+    assert len(elements) == sum(len(cls.centralizer) for cls in classes)
+    assert list(map(id, tabled)) == list(map(id, built))

@@ -1,20 +1,20 @@
 import json
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from orbifold_hkr import groups, hkr, sectors
 from orbifold_hkr.cli import main
-from orbifold_hkr.exact import (InternalError, NotInvertible, integer_form,
+from orbifold_hkr.exact import (InternalError, integer_form,
                                 mat_det, mat_identity, mat_inv, mat_mul,
                                 mat_rank, mat_sub, mat_vec, nullspace_basis,
-                                rational_matrix, rref)
+                                rational_matrix)
 from orbifold_hkr.groups import ConjClass, MatrixGroup, conjugacy_classes, generate
 from orbifold_hkr.sectors import (build_sector, derived_fixed_hilbert, monomials,
                                   shifted_tangent_hilbert)
 
-from conftest import B3, B3_BASIS, ROT4, S3_PERM, SIGN_1D, m
+from conftest import (B3, B3_BASIS, ROT4, S3_PERM, SIGN_1D, fraction_gauss_jordan, m,
+                      oracle_sector, oracle_sectors)
 
 F = Fraction
 
@@ -33,6 +33,10 @@ def _sector_of(G, g):
     return build_sector(G, _class_of(G, g), conjugacy_classes(G))
 
 
+def _oracle_of(G, g):
+    return oracle_sector(G, _class_of(G, g), conjugacy_classes(G))
+
+
 def _position(G, sec, g):
     # where the matrix g sits in the sector's centralizer-ordered tuples
     return sec.class_ref.centralizer.index(_index(G, g))
@@ -47,8 +51,8 @@ def test_monomial_count():
 
 def test_sign_group_sectors():
     G = generate(SIGN_1D, 100)
-    e = _sector_of(G, [[1]])
-    tw = _sector_of(G, [[-1]])
+    e = _oracle_of(G, [[1]])
+    tw = _oracle_of(G, [[-1]])
     assert (e.fixed_dim, e.c_g) == (1, 0)
     assert (tw.fixed_dim, tw.c_g) == (0, 1)
     assert set(e.det_normal_char) == {F(1)}
@@ -57,7 +61,7 @@ def test_sign_group_sectors():
 
 def test_rotation_sector_determinant_one():
     G = generate(ROT4, 100)
-    rot = _sector_of(G, [[0, -1], [1, 0]])
+    rot = _oracle_of(G, [[0, -1], [1, 0]])
     assert (rot.fixed_dim, rot.c_g) == (0, 2)
     assert rot.det_normal_char[_position(G, rot, [[0, -1], [1, 0]])] == F(1)
 
@@ -65,7 +69,7 @@ def test_rotation_sector_determinant_one():
 def test_transposition_sector_of_s3():
     G = generate(S3_PERM, 100)
     swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    sec = _sector_of(G, swap)
+    sec = _oracle_of(G, swap)
     assert (sec.fixed_dim, sec.c_g) == (2, 1)
     at = _position(G, sec, swap)
     assert sec.det_normal_char[at] == F(-1)
@@ -75,10 +79,8 @@ def test_transposition_sector_of_s3():
 
 def test_fixed_basis_is_correct(zoo_groups):
     for G in zoo_groups.values():
-        classes = conjugacy_classes(G)
-        for cls in classes:
-            sec = build_sector(G, cls, classes)
-            g = rational_matrix(*G.elements[cls.representative])
+        for sec in oracle_sectors(G):
+            g = rational_matrix(*G.elements[sec.class_ref.representative])
             A = mat_sub(g, mat_identity(G.n))
             for b in sec.fixed_basis:
                 assert not any(mat_vec(A, b))
@@ -87,10 +89,8 @@ def test_fixed_basis_is_correct(zoo_groups):
 
 def test_det_normal_char_is_multiplicative(zoo_groups):
     for G in zoo_groups.values():
-        classes = conjugacy_classes(G)
-        for cls in classes:
-            sec = build_sector(G, cls, classes)
-            Z = [rational_matrix(*G.elements[h]) for h in cls.centralizer]
+        for sec in oracle_sectors(G):
+            Z = [rational_matrix(*G.elements[h]) for h in sec.class_ref.centralizer]
             # the product h1 h2 as a matrix, looked up among the centralizer
             where = {integer_form(h): k for k, h in enumerate(Z)}
             chi = sec.det_normal_char
@@ -100,44 +100,22 @@ def test_det_normal_char_is_multiplicative(zoo_groups):
                     assert chi[prod] == chi[a] * chi[b]
 
 
-def test_change_of_complement_leaves_character_alone():
-    G = generate(S3_PERM, 100)
-    cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    default = build_sector(G, cls, conjugacy_classes(G))
-    other = build_sector(G, cls, conjugacy_classes(G), complement=[0])
-    assert default.det_normal_char == other.det_normal_char
-
-
-def test_bad_complement_is_rejected():
-    # the complement is chosen where V^g is made, on the first read
-    G = generate(S3_PERM, 100)
-    cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    with pytest.raises(NotInvertible):
-        # e_2 lies inside the fixed subspace, so it is no complement
-        build_sector(G, cls, conjugacy_classes(G), complement=[2]).fixed_basis
-    with pytest.raises(ValueError):
-        build_sector(G, cls, conjugacy_classes(G), complement=[0, 1]).fixed_basis
-
-
 def _conjugation_blocks(G, cls, comp):
     # the blocks of B^-1 h B, B = [fixed basis | e_c for c in comp], by
-    # Fraction products, as build_sector formed them before it used the
-    # block formulas; None when B is singular, i.e. comp is no complement
+    # Fraction products, as the oracle's V^g step formed them before it used
+    # the block formulas
     n = G.n
     g = rational_matrix(*G.elements[cls.representative])
     fixed = nullspace_basis(mat_sub(g, mat_identity(n)))
     f = len(fixed)
     B = tuple(tuple(fixed[k][i] if k < f else F(int(i == comp[k - f]))
                     for k in range(n)) for i in range(n))
-    try:
-        Binv = mat_inv(B)
-    except NotInvertible:
-        return None
+    Binv = mat_inv(B)
     restricted, charv = [], []
     for h in cls.centralizer:
         M = mat_mul(mat_mul(Binv, rational_matrix(*G.elements[h])), B)
         assert not any(M[i][j] for i in range(f, n) for j in range(f))
-        # build_sector keeps the pair (d, N) in lowest terms, integer_form's
+        # fixed_geometry keeps the pair (d, N) in lowest terms, integer_form's
         restricted.append(integer_form(tuple(tuple(M[i][j] for j in range(f))
                                              for i in range(f))))
         charv.append(mat_det(tuple(tuple(M[i][j] for j in range(f, n))
@@ -145,32 +123,24 @@ def _conjugation_blocks(G, cls, comp):
     return tuple(restricted), tuple(charv)
 
 
+def normal_complement(G, cls):
+    # the complement that fixed_geometry takes: the coordinates off the free
+    # columns of g - I, which are its pivot columns
+    g = rational_matrix(*G.elements[cls.representative])
+    return fraction_gauss_jordan(mat_sub(g, mat_identity(G.n)))[1]
+
+
 def test_block_formulas_match_conjugation_by_b(zoo_groups):
     b3_conjugate = tuple(mat_mul(mat_mul(B3_BASIS, g), mat_inv(B3_BASIS)) for g in B3)
     for G in list(zoo_groups.values()) + [generate(b3_conjugate)]:
-        classes = conjugacy_classes(G)
-        for cls in classes:
-            sec = build_sector(G, cls, classes)
-            # the default complement: the coordinates off the pivots of the fixed basis
-            pivots = rref(sec.fixed_basis)[1] if sec.fixed_basis else []
-            default = [j for j in range(G.n) if j not in pivots]
+        for sec in oracle_sectors(G):
+            cls = sec.class_ref
             assert (sec.restricted_action, sec.det_normal_char) == \
-                _conjugation_blocks(G, cls, default)
+                _conjugation_blocks(G, cls, normal_complement(G, cls))
             # hkr reads both tuples side by side, in centralizer order
             assert (len(sec.restricted_action) == len(sec.det_normal_char)
                     == len(sec.class_ref.centralizer))
             assert cls.members[0] == cls.representative
-            for comp in combinations(range(G.n), sec.c_g):
-                want = _conjugation_blocks(G, cls, comp)
-                if want is None:
-                    with pytest.raises(NotInvertible):
-                        build_sector(G, cls, classes, complement=comp).restricted_action
-                    continue
-                other = build_sector(G, cls, classes, complement=comp)
-                assert (other.restricted_action, other.det_normal_char) == want
-                # and the sector does not depend on the choice
-                assert other.restricted_action == sec.restricted_action
-                assert other.det_normal_char == sec.det_normal_char
 
 
 def test_fixed_subspace_guard_is_an_internal_error(monkeypatch):
@@ -178,12 +148,12 @@ def test_fixed_subspace_guard_is_an_internal_error(monkeypatch):
     cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     # span(e_1, e_3) is not fixed by the swap, which moves e_1 to e_2; it has
     # the right dimension, so the terms are made, and the per-element guard
-    # fires when the oracle reads the tuples
+    # fires when the oracle builds its record
     monkeypatch.setattr(sectors, "nullspace_basis",
                         lambda A: [m([[1, 0, 0]])[0], m([[0, 0, 1]])[0]])
-    sec = build_sector(G, cls, conjugacy_classes(G))
+    assert build_sector(G, cls, conjugacy_classes(G)).fixed_dim == 2
     with pytest.raises(InternalError, match="does not preserve the fixed subspace"):
-        sec.restricted_action
+        oracle_sector(G, cls, conjugacy_classes(G))
 
 
 # Koszul homology of (g - I) ---------------------------------------------------
@@ -245,13 +215,12 @@ def test_derived_equals_shifted_across_zoo(zoo_groups):
 def test_normal_character_guard_is_an_internal_error(monkeypatch):
     G = generate(S3_PERM, 100)
     cls = _class_of(G, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    # det(eps d Q_h) off by one is no longer +-(eps d)^c, so no character +-1;
-    # the guard fires when the oracle reads the per-element tuples
-    sec = build_sector(G, cls, conjugacy_classes(G))
+    # det(delta d Q_h) off by one is no longer +-(delta d)^c, so no character
+    # +-1; the guard fires when the oracle builds its record
     real = sectors.mat_det
     monkeypatch.setattr(sectors, "mat_det", lambda A: real(A) + 1)
     with pytest.raises(InternalError, match="normal directions is not"):
-        sec.det_normal_char
+        oracle_sector(G, cls, conjugacy_classes(G))
 
 
 def test_central_class_guard_checks_every_generator(tmp_path, capsys, monkeypatch):
@@ -314,12 +283,18 @@ def test_coset_average_guard_is_an_internal_error(monkeypatch):
 
 def test_fixed_dimension_guard_is_an_internal_error(monkeypatch):
     # a fixed basis one vector short disagrees with the trace average of <g>;
-    # the report reads only the trace average, and the first read of V^g fails
+    # the report reads only the trace average, and the oracle's V^g step fails
+    # before it runs the element routine
     G = generate(SIGN_1D, 100)
     classes = conjugacy_classes(G)
     real = sectors.nullspace_basis
     monkeypatch.setattr(sectors, "nullspace_basis", lambda A: real(A)[1:])
+
+    def element_routine(*args):
+        raise AssertionError("an element was computed before the dimension check")
+
+    monkeypatch.setattr(sectors, "int_mat_mul", element_routine)
     sec = build_sector(G, classes[0], classes)
     with pytest.raises(InternalError, match="trace average of <g> is 1, not the "
                                             "fixed dimension 0"):
-        sec.fixed_basis
+        hkr.OracleSector(G, classes[0], sec.fixed_dim)
