@@ -9,8 +9,8 @@ plus a union-find count of graph components; no simplicial machinery.
 
 from collections import namedtuple
 
-from .exact import (InternalError, QONE, QZERO, int_mat_mul, linear_solve,
-                    mat_rank, mat_vec, nullspace_basis, smith_normal_form)
+from .exact import (InternalError, int_mat_mul, linear_solve, mat_rank,
+                    mat_vec, nullspace_basis, smith_normal_form)
 
 
 class ChainComplex:
@@ -118,20 +118,20 @@ def fiber_dimension(n, at_zero=False):
     """
     if n < 1:
         raise ValueError("need at least one axis")
-    c = QZERO if at_zero else QONE
+    c = 0 if at_zero else 1
     dims = []
     for top in (2, 3, 4):
         tgt = _axes_basis(n, top)
         src = _axes_basis(n, top - 1)
         tidx = {b: i for i, b in enumerate(tgt)}
-        M = [[QZERO] * len(src) for _ in tgt]
+        M = [[0] * len(src) for _ in tgt]
         for col, (d, i) in enumerate(src):
             if d == 0:
                 for j in range(n):
-                    M[tidx[(1, j)]][col] += QONE
+                    M[tidx[(1, j)]][col] += 1
                 M[tidx[(0, 0)]][col] -= c
             else:
-                M[tidx[(d + 1, i)]][col] += QONE
+                M[tidx[(d + 1, i)]][col] += 1
                 M[tidx[(d, i)]][col] -= c
         dims.append(len(tgt) - mat_rank(M))
     if len(set(dims)) != 1:
@@ -158,11 +158,11 @@ def central_complex(n):
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    D = [[QZERO] * (n + 1) for _ in range(n)]
+    D = [[0] * (n + 1) for _ in range(n)]
     for i in range(n):
-        D[i][i + 1] += QONE
-        D[i][(i + 1) % n + 1] -= QONE
-    s = (QZERO,) + (QONE,) * n
+        D[i][i + 1] += 1
+        D[i][(i + 1) % n + 1] -= 1
+    s = (0,) + (1,) * n
     if any(mat_vec(D, s)):
         raise InternalError("the diagonal class is not in the kernel")
     # the rotations as index maps: (T x)_j = x_src[j] on the source, with a_0
@@ -188,7 +188,7 @@ def central_complex(n):
         raise InternalError("kernel collapsed onto the diagonal class")
     # coker generator: any target vector off the image; e_0 works since the
     # column sums of D vanish, so the sum functional kills the image
-    u = tuple(QONE if i == 0 else QZERO for i in range(n))
+    u = (1,) + (0,) * (n - 1)
     A = [[w[i], s[i]] for i in range(n + 1)]
     A1 = [[u[i]] + [D[i][j] for j in range(n + 1)] for i in range(n)]
     # T^p w and N^p u for p = 1..n-1, each from the one before
@@ -204,8 +204,8 @@ def central_complex(n):
     sols1 = linear_solve(A1, Nus[1:])
     if sols1 is None:
         raise InternalError("rotation image left the target")
-    chars = [(QONE, QONE)] + [(x[0], y[0]) for x, y in zip(sols, sols1)]
-    trivial = all(a == QONE and b == QONE for a, b in chars)
+    chars = [(1, 1)] + [(x[0], y[0]) for x, y in zip(sols, sols1)]
+    trivial = all(a == 1 and b == 1 for a, b in chars)
     return CentralReport(h0, h1, tuple(chars), trivial)
 
 

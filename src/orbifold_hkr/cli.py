@@ -16,10 +16,11 @@ from math import lcm
 from . import __version__
 from .circle import (central_complex, cover_homology, fiber_dimension,
                      gamma_homology, generic_fiber_homology)
-from .exact import BadRational, InternalError, NotInvertible, parse_rational
-from .groups import (CapExceeded, DEFAULT_CAP, OrderCapExceeded, generate)
-from .hkr import (COHOMOLOGY_CONVENTIONS, HOMOLOGY_CONVENTIONS, BasisTooLarge,
-                  full_report, oracle_verdict)
+from .exact import (BadRational, CapExceeded, InternalError, NotInvertible,
+                    parse_rational)
+from .groups import DEFAULT_CAP, generate
+from .hkr import (COHOMOLOGY_CONVENTIONS, HOMOLOGY_CONVENTIONS, full_report,
+                  oracle_verdict)
 from .wps import WeightedStack, hh_vector, inertia_components
 
 COMMANDS = ("quotient", "wps", "circle", "gamma")
@@ -379,10 +380,10 @@ def main(argv=None):
         if args.format:
             job.output = args.format
         report = run(job)
-    except (SchemaError, BadRational, NotInvertible, ValueError) as e:
+    except (NotInvertible, ValueError) as e:  # SchemaError, BadRational among them
         print("input error: %s" % e, file=sys.stderr)
         return 2
-    except (CapExceeded, OrderCapExceeded, BasisTooLarge) as e:
+    except CapExceeded as e:
         print("cap exceeded: %s" % e, file=sys.stderr)
         return 3
     except InternalError as e:

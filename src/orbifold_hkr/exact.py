@@ -36,6 +36,11 @@ class InternalError(RuntimeError):
     """A check that holds for every valid input failed: a bug, not bad input."""
 
 
+class CapExceeded(RuntimeError):
+    """A size limit was passed: a cap, a bound that every finite group or
+    finite-order element keeps, or the oracle's work guard."""
+
+
 # rationals -----------------------------------------------------------------
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")

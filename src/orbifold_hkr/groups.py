@@ -15,17 +15,9 @@ from functools import partial
 from math import gcd, lcm
 from operator import mul
 
-from .exact import InternalError, NotInvertible, integer_form, mat_det
+from .exact import CapExceeded, InternalError, NotInvertible, integer_form, mat_det
 
 DEFAULT_CAP = 100000
-
-
-class CapExceeded(RuntimeError):
-    """Closure grew past the cap; the generated group is too large or infinite."""
-
-
-class OrderCapExceeded(RuntimeError):
-    """A generator's order passed the cap or is provably infinite, e.g. a shear."""
 
 
 def _check_square(mats):
@@ -88,7 +80,7 @@ def _times(d, cols, row):
 
 def element_order(M, cap=DEFAULT_CAP):
     """Multiplicative order of M, the lcm of the lengths of the orbits of the
-    standard row vectors under x -> x M; OrderCapExceeded past the cap, or
+    standard row vectors under x -> x M; CapExceeded past the cap, or
     past max_finite_order(n), where the order is known to be infinite."""
     n = len(M)
     bound = max_finite_order(n)
@@ -100,11 +92,11 @@ def element_order(M, cap=DEFAULT_CAP):
         while x != start:
             x, k = _times(d, cols, x), k + 1
             if k > min(bound, cap):
-                raise OrderCapExceeded("element has infinite order" if bound <= cap
-                                       else "element order exceeds cap %d" % cap)
+                raise CapExceeded("element has infinite order" if bound <= cap
+                                  else "element order exceeds cap %d" % cap)
         order = lcm(order, k)
     if order > cap:
-        raise OrderCapExceeded("element order exceeds cap %d" % cap)
+        raise CapExceeded("element order exceeds cap %d" % cap)
     return order
 
 
@@ -182,10 +174,11 @@ def generate(generators, cap=DEFAULT_CAP):
     the elements are kept as the (d, N) pairs of exact.integer_form.  Only
     the first copy of a repeated generator is kept, so right has one table
     per distinct generator.  Raises NotInvertible on a singular generator,
-    OrderCapExceeded on an infinite-order generator (at once when its
-    determinant is not +-1, before its order is walked), CapExceeded when the
-    closure grows past the cap, or past minkowski_bound(n), where the group is
-    known to be infinite, or Omega past n times that, as |Omega| <= n |G|.
+    and CapExceeded on a generator of infinite order or one past the cap (at
+    once when its determinant is not +-1, before its order is walked) or when
+    the closure grows past the cap, or past minkowski_bound(n), where the
+    group is known to be infinite, or Omega past n times that, as
+    |Omega| <= n |G|.
     """
     n = _check_square(generators)
     bound = minkowski_bound(n)
@@ -201,7 +194,7 @@ def generate(generators, cap=DEFAULT_CAP):
         if not det:
             raise NotInvertible("matrix is singular")
         if det not in (1, -1):  # a finite-order matrix has det +-1
-            raise OrderCapExceeded("element has infinite order")
+            raise CapExceeded("element has infinite order")
         element_order(g, cap)
     units = [(1, tuple(int(i == j) for j in range(n))) for i in range(n)]
     steps = [partial(_times, d, tuple(zip(*N))) for d, N in distinct]

@@ -40,7 +40,7 @@ from itertools import combinations
 from math import comb, lcm
 from operator import mul
 
-from .exact import (BiSeries, InternalError, det_series_factor,
+from .exact import (BiSeries, CapExceeded, InternalError, det_series_factor,
                     int_mat_mul, inverse_pair, mat_rank, transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, fixed_geometry, monomials
@@ -61,10 +61,6 @@ COHOMOLOGY_CONVENTIONS = {
             "c_g = codimension of the sector's fixed subspace",
     "columns": "Sym degree m; the underlying weight of a cell is m - p",
 }
-
-
-class BasisTooLarge(RuntimeError):
-    """The oracle's estimated work, for one cell or a whole job, is over its guard."""
 
 
 # every (sector, series) pair of one quotient plus their total
@@ -366,15 +362,15 @@ def brute_force_invariants(sector, p, d, mode):
     but one e_k lie in the span of the built ones, so does the last: it is
     never built.  A signed-permutation action builds one column per orbit.
     A cell whose worst case, dim^2 entries plus summed images, exceeds
-    ORACLE_GUARD raises BasisTooLarge before anything is built.
+    ORACLE_GUARD raises CapExceeded before anything is built.
     """
     deg, dim = _cell_shape(sector.fixed_dim, p, d, mode)
     if dim == 0:
         return 0
     work = _cell_work(len(sector.class_ref.centralizer), dim)
     if work > ORACLE_GUARD:
-        raise BasisTooLarge("oracle cell has %d basis elements, work %d over the "
-                            "guard %d" % (dim, work, ORACLE_GUARD))
+        raise CapExceeded("oracle cell has %d basis elements, work %d over the "
+                          "guard %d" % (dim, work, ORACLE_GUARD))
     f = sector.fixed_dim
     ns = comb(f, p)
     tables = _oracle_tables(sector)
@@ -439,7 +435,7 @@ def oracle_verdict(G, tables):
     theirs, and f is the u_max of the homology table.  Before any V^g is
     built, the work of every cell is estimated from binomials alone, as
     brute_force_invariants measures it; a cell over ORACLE_GUARD or a total
-    over ORACLE_WORK raises BasisTooLarge.  Then each class gets an
+    over ORACLE_WORK raises CapExceeded.  Then each class gets an
     OracleSector of its own, which checks that dim V^g is f, and is dropped
     once its cells are checked.  Returns None on full agreement, else a dict
     locating the first mismatch.
@@ -451,9 +447,9 @@ def oracle_verdict(G, tables):
     t_max = tables[0][0].t_max
     work = _oracle_work(classes, tables, t_max)
     if max(work) > ORACLE_GUARD or sum(work) > ORACLE_WORK:
-        raise BasisTooLarge("oracle work estimate %d (largest cell %d) is over the "
-                            "guard %d (per cell %d)"
-                            % (sum(work), max(work), ORACLE_WORK, ORACLE_GUARD))
+        raise CapExceeded("oracle work estimate %d (largest cell %d) is over the "
+                          "guard %d (per cell %d)"
+                          % (sum(work), max(work), ORACLE_WORK, ORACLE_GUARD))
     for idx, (cls, (hom, coh)) in enumerate(zip(classes, tables)):
         sec = OracleSector(G, cls, hom.u_max)
         for mode, s, kind, shift in (("homology", hom, "forms", 0),

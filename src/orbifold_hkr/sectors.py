@@ -17,7 +17,7 @@ two series below agree bidegree by bidegree.
 from itertools import combinations
 from math import comb
 
-from .exact import (QZERO, QONE, InternalError, elementary_symmetric, int_mat_mul,
+from .exact import (BiSeries, InternalError, elementary_symmetric, int_mat_mul,
                     integer_form, lowest_terms, mat_det, mat_identity, mat_rank,
                     mat_sub, nullspace_basis)
 
@@ -172,25 +172,13 @@ def _trace_terms(G, cls, classes):
                     for key, chi in map(term, cls.cosets[::m]) for s in signs)
 
 
-class KoszulReport:
-    """Weight-graded homology dimensions, one row per homological degree."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-
-    def row(self, p):
-        return self.rows[p]
-
-    def __eq__(self, other):
-        return isinstance(other, KoszulReport) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "KoszulReport(%s)" % (list(map(list, self.rows)),)
+def _form_count(m, p, d):
+    # p-forms of weight d in m variables: monomials of degree d - p times
+    # p-subsets of the m differentials
+    k = d - p
+    if k < 0:
+        return 0
+    return comb(m, p) * (comb(m - 1 + k, k) if m else int(k == 0))
 
 
 def _koszul_boundary(L, p, d, n):
@@ -203,12 +191,12 @@ def _koszul_boundary(L, p, d, n):
     tsub = {s: i for i, s in enumerate(tgt_sub)}
     rows = len(tgt_mono) * len(tgt_sub)
     cols = len(src_mono) * len(src_sub)
-    M = [[QZERO] * cols for _ in range(rows)]
+    M = [[0] * cols for _ in range(rows)]
     for a, alpha in enumerate(src_mono):
         for b, I in enumerate(src_sub):
             col = a * len(src_sub) + b
             for r, i in enumerate(I):
-                sign = QONE if r % 2 == 0 else -QONE
+                sign = -1 if r % 2 else 1
                 rest = I[:r] + I[r + 1:]
                 for j in range(n):
                     cij = L[i][j]
@@ -217,7 +205,7 @@ def _koszul_boundary(L, p, d, n):
                         beta[j] += 1
                         row = tmono[tuple(beta)] * len(tgt_sub) + tsub[rest]
                         M[row][col] += sign * cij
-    return M, cols
+    return M
 
 
 def derived_fixed_hilbert(g, t_max):
@@ -226,49 +214,25 @@ def derived_fixed_hilbert(g, t_max):
     Row p, column d is dim H_p in weight d, where the monomial x^a sits in
     weight |a| and each exterior generator adds 1.  For finite-order g this is
     the derived self-intersection along the g-twisted diagonal, weight by
-    weight, with no Groebner machinery: one exact rank per bidegree.
+    weight, with no Groebner machinery: one exact rank per bidegree.  A
+    BiSeries with u_max = n, like the HKR tables.
     """
     n = len(g)
     L = mat_sub(g, mat_identity(n))
-    ranks = {}
-    for p in range(1, n + 1):
-        for d in range(t_max + 1):
-            if d - p < 0:
-                ranks[(p, d)] = 0
-                continue
-            M, cols = _koszul_boundary(L, p, d, n)
-            ranks[(p, d)] = mat_rank(M) if cols else 0
-    rows = []
-    for p in range(n + 1):
-        row = []
-        for d in range(t_max + 1):
-            k = d - p
-            dim = comb(n + k - 1, n - 1) * comb(n, p) if k >= 0 and n > 0 else (
-                1 if k == 0 and p == 0 else 0)
-            row.append(dim - ranks.get((p, d), 0) - ranks.get((p + 1, d), 0))
-        rows.append(tuple(row))
-    return KoszulReport(rows)
+    ranks = {(p, d): mat_rank(_koszul_boundary(L, p, d, n))
+             for p in range(1, n + 1) for d in range(p, t_max + 1)}
+    return BiSeries(n, t_max, [[_form_count(n, p, d) - ranks.get((p, d), 0)
+                                - ranks.get((p + 1, d), 0) for d in range(t_max + 1)]
+                               for p in range(n + 1)])
 
 
 def shifted_tangent_hilbert(sector, t_max):
     """Bigraded dimensions of Sym(V^g dual) tensor Lambda^p(V^g dual).
 
     dx shifts the weight by one, so row p starts at weight p; rows above the
-    fixed dimension vanish.  Padded to the ambient dimension so the report is
-    comparable cell by cell with derived_fixed_hilbert.
+    fixed dimension vanish.  A BiSeries padded to u_max = n, so it compares
+    with derived_fixed_hilbert by ==.
     """
     f = sector.fixed_dim
-    n = sector.n
-    rows = []
-    for p in range(n + 1):
-        row = []
-        for d in range(t_max + 1):
-            k = d - p
-            if p > f or k < 0:
-                row.append(0)
-            elif f == 0:
-                row.append(1 if p == 0 and d == 0 else 0)
-            else:
-                row.append(comb(f, p) * comb(f - 1 + k, f - 1))
-        rows.append(tuple(row))
-    return KoszulReport(rows)
+    return BiSeries(sector.n, t_max, [[_form_count(f, p, d) for d in range(t_max + 1)]
+                                      for p in range(sector.n + 1)])

@@ -127,12 +127,12 @@ def test_08_filtered_circle_sweep():
     assert time.monotonic() - start < 2.0
 
 
-def _run_job(job_path):
+def _run_job(job_path, output):
     with open(job_path, "r", encoding="utf-8") as fh:
         command = json.load(fh)["command"]
     proc = subprocess.run(
-        [sys.executable, "-m", "orbifold_hkr", command, "--spec", str(job_path)],
-        capture_output=True)
+        [sys.executable, "-m", "orbifold_hkr", command, "--spec", str(job_path),
+         "--format", output], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -141,8 +141,10 @@ def test_09_golden_jobs_are_deterministic():
     jobs = sorted(GOLDEN.glob("*.job.json"))
     assert jobs, "no golden jobs committed"
     for job in jobs:
-        first = _run_job(job)
-        second = _run_job(job)
-        assert first == second, "%s: consecutive runs differ" % job.name
-        expected = job.with_name(job.name.replace(".job.json", ".expected.json"))
-        assert first == expected.read_bytes(), "%s: drift from frozen bytes" % job.name
+        for output, suffix in (("json", ".expected.json"), ("table", ".expected.txt")):
+            first = _run_job(job, output)
+            second = _run_job(job, output)
+            assert first == second, "%s %s: consecutive runs differ" % (job.name, output)
+            expected = job.with_name(job.name.replace(".job.json", suffix))
+            assert first == expected.read_bytes(), \
+                "%s %s: drift from frozen bytes" % (job.name, output)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 from orbifold_hkr import cli, groups, hkr, sectors
 from orbifold_hkr.cli import (NonSquareMatrix, SchemaError, main, parse_jobspec,
                               render_json, render_table, run)
-from orbifold_hkr.exact import mat_det, mat_inv, mat_mul
-from orbifold_hkr.groups import OrderCapExceeded
+from orbifold_hkr.exact import CapExceeded, mat_det, mat_inv, mat_mul
 
-from conftest import (B3, C3_RAT, D4, D4_CARTAN, S3_PERM, SIGN_1D, ZOO,
+from conftest import (B3, B4_CARTAN, C3_RAT, D4, D4_CARTAN, S3_PERM, SIGN_1D, ZOO,
                       cartan_generators, m)
 from test_hkr import _b4
 
@@ -309,7 +309,7 @@ def test_main_quotient_t_max_over_cap_exit_3(tmp_path, capsys, monkeypatch):
     # at the default cap's bound the job gets past it to the closure, which
     # is stubbed so that the full 100000-cell tables are not computed
     def closure_reached(generators, cap):
-        raise OrderCapExceeded("closure reached")
+        raise CapExceeded("closure reached")
 
     monkeypatch.setattr(cli, "generate", closure_reached)
     code, out, err = _exit_and_err(tmp_path, capsys, dict(doc, t_max=49999))
@@ -403,10 +403,10 @@ def test_main_internal_error_exit_5(tmp_path, capsys, monkeypatch):
 # change of basis -------------------------------------------------------------------
 
 @st.composite
-def _signed_permutations(draw):
-    # one to three signed permutation matrices on A^n, n <= 4: they generate
-    # a finite group, a subgroup of B_n
-    n = draw(st.integers(1, 4))
+def _signed_permutations(draw, max_n=4):
+    # one to three signed permutation matrices on A^n, n <= max_n: they
+    # generate a finite group, a subgroup of B_n
+    n = draw(st.integers(1, max_n))
     signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
     drawn = draw(st.lists(st.tuples(st.permutations(range(n)), signs),
                           min_size=1, max_size=3))
@@ -443,6 +443,59 @@ def test_report_is_invariant_under_change_of_basis(case):
     Pinv = mat_inv(P)
     conjugated = [mat_mul(mat_mul(P, g), Pinv) for g in gens]
     assert _report_without_input(conjugated, t_max) == _report_without_input(gens, t_max)
+
+
+def _rational_conjugator(n, seed):
+    # a seeded rational matrix of nonzero determinant with entries p/q,
+    # |p| <= 3 and 1 <= q <= 3, so a conjugate of a signed permutation
+    # group acts by dense non-integral matrices
+    rng = random.Random(seed)
+    while True:
+        P = tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                  for _ in range(n))
+        if mat_det(P):
+            return P
+
+
+@settings(max_examples=40, deadline=None)
+@given(_signed_permutations(max_n=3), st.integers(0, 2 ** 32 - 1),
+       st.randoms(use_true_random=False))
+def test_rational_conjugates_keep_their_tables_and_the_oracle(gens, seed, rng):
+    # a drawn signed permutation group and its conjugate by a seeded rational
+    # matrix give the same bytes, with the oracle agreeing at t_max 2 in both
+    # bases; shuffling the conjugate's generators and repeating one of them
+    # changes neither the verdict nor any table
+    P = _rational_conjugator(len(gens[0]), seed)
+    Pinv = mat_inv(P)
+    conjugated = tuple(mat_mul(mat_mul(P, g), Pinv) for g in gens)
+    report = _report_without_input(conjugated, 2)
+    assert report == _report_without_input(gens, 2)
+    assert json.loads(report)["oracle"] == {"checked": True, "agreement": True,
+                                            "first_disagreement": None}
+    reordered = list(conjugated)
+    rng.shuffle(reordered)
+    reordered.insert(rng.randrange(len(reordered) + 1), rng.choice(conjugated))
+    assert _order_invariants(tuple(reordered), 2) == _order_invariants(conjugated, 2)
+
+
+def test_b4_oracle_job_in_the_root_basis(tmp_path):
+    # B4 in the root basis of its Cartan matrix, through the command line:
+    # its lattice has no signed-permutation basis, so the oracle builds
+    # projector columns that a signed basis would skip
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({"command": "quotient", "generators": [
+        [[str(x) for x in row] for row in g] for g in cartan_generators(B4_CARTAN)]}))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "orbifold_hkr", "quotient", "--spec",
+                           str(spec), "--oracle", "--t-max", "2"],
+                          capture_output=True, text=True)
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["group_order"] == 384
+    assert report["oracle"] == {"checked": True, "agreement": True,
+                                "first_disagreement": None}
+    assert elapsed < 1.5
 
 
 def test_d4_oracle_agrees_in_the_root_basis_and_a_signed_basis(tmp_path, capsys):

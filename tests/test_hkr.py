@@ -9,10 +9,10 @@ from types import FunctionType
 import pytest
 
 from orbifold_hkr import cli, exact, hkr, sectors
-from orbifold_hkr.exact import (BiSeries, InternalError, det_series_factor, mat_det,
-                                mat_inv, mat_mul, rational_matrix, transpose)
+from orbifold_hkr.exact import (BiSeries, CapExceeded, InternalError, det_series_factor,
+                                mat_det, mat_inv, mat_mul, rational_matrix, transpose)
 from orbifold_hkr.groups import conjugacy_classes, generate
-from orbifold_hkr.hkr import (BasisTooLarge, OracleSector, brute_force_invariants,
+from orbifold_hkr.hkr import (OracleSector, brute_force_invariants,
                               full_report, oracle_verdict, sector_hh_series,
                               sector_hhcoh_series)
 from orbifold_hkr.sectors import build_sector, monomials
@@ -132,7 +132,9 @@ def test_oracle_s3_quadrics():
 def test_oracle_guard():
     G = _trivial_group(8)
     sec = oracle_sectors(G)[0]
-    with pytest.raises(BasisTooLarge):
+    # Sym^12 of 8 variables times Lambda^4: 50388 * 70 basis elements
+    with pytest.raises(CapExceeded, match=r"^oracle cell has 3527160 basis elements, "
+                       r"work 12440861192760 over the guard 5000000$"):
         brute_force_invariants(sec, 4, 16, "forms")
     assert sec._oracle is None  # the guard runs before any image is built
 
@@ -149,7 +151,8 @@ def test_oracle_cell_guard_boundary(monkeypatch):
     assert brute_force_invariants(sec, 1, 3, "forms") == want
     monkeypatch.setattr(hkr, "ORACLE_GUARD", work - 1)
     sec = oracle_sectors(G)[0]
-    with pytest.raises(BasisTooLarge):
+    with pytest.raises(CapExceeded, match=r"^oracle cell has 18 basis elements, "
+                       r"work 432 over the guard 431$"):
         brute_force_invariants(sec, 1, 3, "forms")
     assert sec._oracle is None
 
@@ -185,7 +188,9 @@ def test_oracle_work_guard_boundary(monkeypatch):
     for work, guard in ((total - 1, largest), (total, largest - 1)):
         monkeypatch.setattr(hkr, "ORACLE_WORK", work)
         monkeypatch.setattr(hkr, "ORACLE_GUARD", guard)
-        with pytest.raises(BasisTooLarge):
+        with pytest.raises(CapExceeded, match=r"^oracle work estimate 12780 \(largest "
+                           r"cell 2295\) is over the guard %d \(per cell %d\)$"
+                           % (work, guard)):
             oracle_verdict(G, tables)
 
 
