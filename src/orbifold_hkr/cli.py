@@ -105,6 +105,8 @@ def parse_jobspec(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError("not valid JSON: %s" % e) from None
+    except RecursionError:
+        raise SchemaError("the document is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a JSON object")
     cmd = doc.get("command")
@@ -361,7 +363,7 @@ def main(argv=None):
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             print("input error: %s" % e, file=sys.stderr)
             return 2
     else:

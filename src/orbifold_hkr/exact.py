@@ -1,7 +1,7 @@
 """Exact arithmetic kernels.
 
 Arbitrary-precision rationals (stdlib Fraction), dense linear algebra over Q,
-truncated series, and integer Smith normal form.  Everything is rational:
+truncated series, and integer lattices.  Everything is rational:
 characteristic polynomials come from integer power sums by Newton's
 identities, so no eigenvalue is ever needed.  Every value is immutable and
 every function pure.
@@ -13,6 +13,10 @@ BiSeries is the bigraded table the Molien sums are reported in; it only adds.
 There is one elimination loop, _echelon: fraction-free (Bareiss) Gauss-Jordan
 on integer-cleared rows.  rref, mat_rank, nullspace_basis, linear_solve,
 inverse_pair (and with it mat_inv) and mat_det are views of its result.
+
+There is one unimodular integer reduction, hermite_form: the row Hermite form
+by gcd steps.  The oracle's invariant lattice is reduced by it, and
+smith_normal_form is a view of it: Hermite forms of rows and columns in turn.
 """
 
 from fractions import Fraction
@@ -360,74 +364,66 @@ def det_series_factor(key, t_max):
     return tuple(B)
 
 
-# integer Smith normal form ---------------------------------------------------
+# integer lattices ---------------------------------------------------------------
+
+def _xgcd(a, b):
+    # (g, x, y) with g = gcd(a, b) = x a + y b >= 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, x0, y0, x1, y1 = b, r, x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def hermite_form(vectors, ncols):
+    """The nonzero rows of the row Hermite form of vectors in Z^ncols.
+
+    Each row's first nonzero entry, its pivot, is positive and lies right of
+    the row above's, and the entries above each pivot are reduced modulo it.
+    Vectors are folded in by unimodular gcd steps (Cohen, section 2.4), so
+    the rows span exactly their lattice, of any rank; the form is unique.
+    """
+    basis = {}  # pivot column -> row
+    for v in vectors:
+        for c in range(ncols):
+            if not v[c]:
+                continue
+            b = basis.get(c)
+            if b is None:
+                basis[c] = list(v) if v[c] > 0 else [-x for x in v]
+                break
+            g, x, y = _xgcd(b[c], v[c])
+            s, t = b[c] // g, v[c] // g
+            basis[c] = [x * bi + y * vi for bi, vi in zip(b, v)]
+            v = [s * vi - t * bi for bi, vi in zip(b, v)]
+    rows = [basis[c] for c in sorted(basis)]
+    for i, c in enumerate(sorted(basis)):
+        for r in range(i):
+            q = rows[r][c] // rows[i][c]
+            if q:
+                rows[r] = [x - q * y for x, y in zip(rows[r], rows[i])]
+    return rows
+
 
 def smith_normal_form(M):
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, given
     as a list of integer rows.
 
-    Ordinary elementary row/column operations, pivoting on the least nonzero
-    absolute value; the matrices here are tiny so no modular tricks.
+    Hermite forms of the rows and of the columns in turn (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979) until each row has one nonzero entry.  The form
+    is unique, so a round that does not finish shrinks the leading pivot of
+    the block not yet diagonal to a proper divisor or, when that pivot
+    divides its row, clears its row and column for good.  Pairs of the
+    diagonal are then replaced by their gcd and lcm.
 
     >>> smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     (2, 2, 156)
     """
-    A = [list(row) for row in M]
-    R = len(A)
-    C = len(A[0]) if A else 0
-    factors = []
-    t = 0
-    while t < min(R, C):
-        best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        for row in A:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            if A[t][t] < 0:
-                A[t] = [-x for x in A[t]]
-            piv = A[t][t]
-            moved = False
-            for i in range(t + 1, R):
-                if A[i][t]:
-                    q = A[i][t] // piv
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        moved = True
-                        break
-            if moved:
-                continue
-            for j in range(t + 1, C):
-                if A[t][j]:
-                    q = A[t][j] // piv
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        moved = True
-                        break
-            if moved:
-                continue
-            # pivot must divide the trailing block for d_i | d_{i+1}
-            off = None
-            for i in range(t + 1, R):
-                for j in range(t + 1, C):
-                    if A[i][j] % piv:
-                        off = i
-                        break
-                if off is not None:
-                    break
-            if off is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[off])]
-        factors.append(A[t][t])
-        t += 1
-    return tuple(factors)
+    rows = hermite_form(M, len(M[0]) if M else 0)
+    while any(len(row) - row.count(0) > 1 for row in rows):
+        rows = hermite_form(transpose(rows), len(rows))
+    d = [max(row) for row in rows]  # each row's one nonzero entry, its pivot
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)

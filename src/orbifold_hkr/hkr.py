@@ -41,7 +41,7 @@ from math import comb, lcm
 from operator import mul
 
 from .exact import (BiSeries, CapExceeded, InternalError, det_series_factor,
-                    int_mat_mul, inverse_pair, mat_rank, transpose)
+                    hermite_form, int_mat_mul, inverse_pair, mat_rank, transpose)
 from .groups import conjugacy_classes
 from .sectors import build_sector, fixed_geometry, monomials
 
@@ -150,47 +150,6 @@ def _ext_minors(C, f):
     return out
 
 
-def _xgcd(a, b):
-    # (g, x, y) with g = gcd(a, b) = x a + y b >= 0
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b, x0, y0, x1, y1 = b, r, x1, y1, x0 - q * x1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
-
-
-def _hermite_basis(vectors, f):
-    """Rows of the integer row Hermite form of vectors spanning Q^f.
-
-    Row c has its first nonzero entry, positive, in column c, and the entries
-    above each pivot are reduced modulo it.  Each vector is folded in by
-    unimodular gcd steps (Cohen, section 2.4), so the rows span exactly the
-    lattice of the vectors.
-    """
-    basis = [None] * f
-    for v in vectors:
-        for c in range(f):
-            if not v[c]:
-                continue
-            b = basis[c]
-            if b is None:
-                basis[c] = list(v) if v[c] > 0 else [-x for x in v]
-                break
-            g, x, y = _xgcd(b[c], v[c])
-            s, t = b[c] // g, v[c] // g
-            basis[c] = [x * bi + y * vi for bi, vi in zip(b, v)]
-            v = [s * vi - t * bi for bi, vi in zip(b, v)]
-    if None in basis:
-        raise InternalError("the oracle's lattice vectors do not span Q^f; "
-                            "this is a bug, not bad input")
-    for c in range(f):
-        for r in range(c):
-            q = basis[r][c] // basis[c][c]
-            if q:
-                basis[r] = [x - q * y for x, y in zip(basis[r], basis[c])]
-    return basis
-
-
 def _lll_reduce(basis, Q):
     """LLL (delta = 3/4, Lenstra-Lenstra-Lovasz 1982) of the rows of basis for
     the positive-definite integer form x Q y^T.
@@ -251,7 +210,11 @@ def _reduced_actions(sector):
         s = (m // d) ** 2
         Q = [[q + s * x for q, x in zip(qrow, row)]
              for qrow, row in zip(Q, int_mat_mul(transpose(N), N))]
-    T = transpose(_lll_reduce(_hermite_basis(columns, f), Q))
+    basis = hermite_form(columns, f)
+    if len(basis) < f:
+        raise InternalError("the oracle's lattice vectors do not span Q^f; "
+                            "this is a bug, not bad input")
+    T = transpose(_lll_reduce(basis, Q))
     e, V = inverse_pair(T)
     out = []
     for d, N in sector.restricted_action:

@@ -122,11 +122,12 @@ def _trace_terms(G, cls, classes):
     psi(x) = (1/m) sum_k tr(g^k x) is the trace of x on V^g, one average per
     <g>-coset, and f = psi(1).  A term h (a G-class representative, weighted
     by its size, when g commutes with every generator; else a <g>-coset
-    leader) has the power sums psi(h^j), j <= f, walked along h's BFS word,
-    Newton's key c of det(I - t A_h) and chi_h = det_V(h) e_f, with
-    det_V(h) = G.det_v[h].  g is the identity on V^g, so a coset shares A_h,
-    and chi_g = -1 splits it into halves of opposite characters.  Every
-    division must be exact.
+    leader) has the power sums psi(h^j), j <= f, Newton's key c of
+    det(I - t A_h) and chi_h = det_V(h) e_f, with det_V(h) = G.det_v[h].  The
+    cosets of a G-class start with <h>, so a central sector reads h^j off
+    them; a coset leader's are walked along its BFS word.  g is the identity
+    on V^g, so a coset shares A_h, and chi_g = -1 splits it into halves of
+    opposite characters.  Every division must be exact.
     """
     m, right, parents, g = cls.order, G.right, G.parents, cls.representative
 
@@ -156,20 +157,24 @@ def _trace_terms(G, cls, classes):
         psi.update(dict.fromkeys(run, average))
     f, keys = psi[0], {}  # keys: one per distinct tuple of power sums
 
-    def term(h):
-        ks, x, sums = word(h), 0, []
-        for _ in range(f):
-            x = times(x, ks)
-            sums.append(psi[x])
-        sums = tuple(sums)
+    def term(h, powers):  # powers: h, h^2, ..., h^f
+        sums = tuple(map(psi.__getitem__, powers))
         key = keys[sums] = keys.get(sums) or elementary_symmetric(sums)
         return key, (-1) ** f * key[-1] * G.det_v[h]
 
+    def walked(h):
+        ks, powers = word(h), [0]
+        for _ in range(f):
+            powers.append(times(powers[-1], ks))
+        return term(h, powers[1:])
+
     if central:
-        return f, tuple(term(k.representative) + (len(k.members),) for k in classes)
+        return f, tuple(term(k.representative, [k.cosets[j % k.order]
+                                                for j in range(1, f + 1)])
+                        + (len(k.members),) for k in classes)
     signs = (1,) if G.det_v[g] == 1 else (1, -1)
     return f, tuple((key, s * chi, m // len(signs))
-                    for key, chi in map(term, cls.cosets[::m]) for s in signs)
+                    for key, chi in map(walked, cls.cosets[::m]) for s in signs)
 
 
 def _form_count(m, p, d):

@@ -178,6 +178,28 @@ def test_main_missing_file_exit_2(capsys):
     assert main(["wps", "--spec", "/nonexistent/job.json"]) == 2
 
 
+def _launch_on_spec(tmp_path, data):
+    # one CLI launch on a spec file of raw bytes: (exit code, stdout, stderr)
+    spec = tmp_path / "job.json"
+    spec.write_bytes(data)
+    proc = subprocess.run([sys.executable, "-m", "orbifold_hkr", "quotient", "--spec",
+                           str(spec)], capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_deeply_nested_document_exit_2_without_a_traceback(tmp_path):
+    # json.loads recurses once per bracket and raises RecursionError
+    code, out, err = _launch_on_spec(tmp_path, b"[" * 100000 + b"]" * 100000)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_spec_file_of_invalid_utf8_exit_2_without_a_traceback(tmp_path):
+    code, out, err = _launch_on_spec(tmp_path, b'\xff{"command": "quotient"}')
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_main_singular_generator_exit_2(tmp_path, capsys):
     spec = tmp_path / "job.json"
     spec.write_text('{"command": "quotient", "generators": [[[1, 2], [2, 4]]]}')
@@ -238,6 +260,22 @@ def test_main_oracle_checks_the_fixed_dimension(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: the trace average of <g> is 3, not the "
                           "fixed dimension 2")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cyclic_group_of_order_420_reads_its_powers_from_the_cosets():
+    # C420 on A^19, one permutation of cycles 3, 4, 5 and 7: every sector is
+    # central and has a term per class, 420^2 terms per table, and the powers
+    # h^j of each term are read off the class's cosets, not walked along
+    # h's closure word of length up to 419
+    perm = [base + (i + 1) % k for base, k in ((0, 3), (3, 4), (7, 5), (12, 7))
+            for i in range(k)]
+    gen = [[int(j == perm[i]) for j in range(19)] for i in range(19)]
+    start = time.perf_counter()
+    report = run(parse_jobspec(json.dumps({"command": "quotient", "t_max": 2,
+                                           "generators": [gen]})))
+    assert time.perf_counter() - start < 5.0
+    assert report["group_order"] == 420 and len(report["sectors"]) == 420
+    assert report["HH"]["0"]["0"] == "420"
 
 
 def _exit_and_err(tmp_path, capsys, doc):
@@ -622,11 +660,28 @@ def _product_table(a, b, t_max):
     (D4, C3_RAT, False),
 ], ids=["B2xS3", "C3xC2", "B2xC3"])
 def test_report_of_a_product_is_the_product_of_the_reports(gens1, gens2, oracle):
+    _check_product(gens1, gens2, oracle)
+
+
+@st.composite
+def _two_signed_groups(draw):
+    # G1 on A^n1 and G2 on A^n2, drawn signed permutation groups, n1 + n2 <= 4
+    gens1 = draw(_signed_permutations(max_n=3))
+    return gens1, draw(_signed_permutations(max_n=4 - len(gens1[0])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_two_signed_groups())
+def test_drawn_products_keep_kunneth(pair):
+    _check_product(*pair, oracle=False)
+
+
+def _check_product(gens1, gens2, oracle):
     # the inertia stack of [V1 / G1] x [V2 / G2] is the product of theirs, and
     # HKR is multiplicative: both totals are the products of the factors'
-    # totals, and the sectors are the pairs of sectors, with class sizes and
-    # centralizer orders multiplied, fixed dimensions and codimensions added
-    # and the sector tables multiplied
+    # totals, as series in (u, t) cut at t_max, and the sectors are the pairs
+    # of sectors, with class sizes and centralizer orders multiplied, fixed
+    # dimensions and codimensions added and the sector tables multiplied
     r1, r2 = _report_t6(gens1), _report_t6(gens2)
     both = _report_t6(_block_diagonal(gens1, gens2), oracle)
     assert both["group_order"] == r1["group_order"] * r2["group_order"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from orbifold_hkr.exact import (BadRational, BiSeries, InternalError, NotInvertible,
                                 det_series_factor, elementary_symmetric,
                                 integer_form, linear_solve, lowest_terms,
-                                mat_det, mat_identity, mat_inv, mat_mul,
+                                hermite_form, mat_det, mat_identity, mat_inv, mat_mul,
                                 mat_rank, nullspace_basis, parse_rational,
                                 rational_matrix, rref, smith_normal_form)
 from orbifold_hkr.groups import generate
@@ -174,6 +174,11 @@ def test_smith_examples():
     assert smith_normal_form([[1, 0], [0, 0]]) == (1,)
     assert smith_normal_form([[5]]) == (5,)
     assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == (2, 2, 156)
+    # the shapes of the circle's cofiber: 1 x 1 and 1 x r
+    assert smith_normal_form([[0]]) == ()
+    assert smith_normal_form([[-6, 4, 0, 10]]) == (2,)
+    # a diagonal whose entries do not divide each other
+    assert smith_normal_form([[4, 0], [0, 6]]) == (2, 12)
 
 
 def _minor_gcd(rows, k):
@@ -186,11 +191,20 @@ def _minor_gcd(rows, k):
     return abs(g)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                min_size=2, max_size=3))
+def _integer_matrices(max_rows, max_cols):
+    # rectangular lists of integer rows, half of the entries zero, so zero
+    # rows, zero columns and low rank are common
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    return st.integers(1, max_cols).flatmap(lambda c: st.lists(
+        st.lists(entry, min_size=c, max_size=c), min_size=1, max_size=max_rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_integer_matrices(4, 4))
 def test_smith_divisibility_and_minor_gcds(rows):
     factors = smith_normal_form(rows)
+    assert len(factors) == mat_rank([[F(x) for x in row] for row in rows])
+    assert all(d > 0 for d in factors)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
     # d_1 ... d_k equals the gcd of all k x k minors
@@ -198,6 +212,41 @@ def test_smith_divisibility_and_minor_gcds(rows):
     for k, d in enumerate(factors, start=1):
         prod *= d
         assert prod == _minor_gcd(rows, k)
+
+
+# integer Hermite form ----------------------------------------------------------
+
+def test_hermite_form_of_a_rank_deficient_input():
+    # with u = (0, 1, 2, 0) the vectors are 2u, 0, 3u + e_3, 4u and -u + 5e_3:
+    # a rank-2 lattice of index 2 in Zu + Ze_3, pivots in columns 1 and 3
+    vectors = [(0, 2, 4, 0), (0, 0, 0, 0), (0, 3, 6, 1), (0, 4, 8, 0), (0, -1, -2, 5)]
+    assert hermite_form(vectors, 4) == [[0, 1, 2, 1], [0, 0, 0, 2]]
+    assert hermite_form([(0, 0)], 2) == []
+    assert hermite_form([], 3) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(_integer_matrices(5, 4))
+def test_hermite_form_is_the_echelon_basis_of_the_lattice(vectors):
+    ncols = len(vectors[0])
+    rows = hermite_form(vectors, ncols)
+    assert len(rows) == mat_rank([[F(x) for x in v] for v in vectors])
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(rows, pivots)):
+        assert row[c] > 0 and all(0 <= rows[r][c] < row[c] for r in range(i))
+    # each vector is an integral combination of the rows: back-substitute
+    for v in vectors:
+        rest = list(v)
+        for row, c in zip(rows, pivots):
+            q, r = divmod(rest[c], row[c])
+            assert r == 0
+            rest = [x - q * y for x, y in zip(rest, row)]
+        assert not any(rest)
+    # and of the same rank and index, so the rows span the same lattice
+    if rows:
+        assert _minor_gcd(rows, len(rows)) == _minor_gcd(vectors, len(rows))
+    assert hermite_form(rows, ncols) == rows
 
 
 # assorted kernels ---------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 from orbifold_hkr import cli, exact, hkr, sectors
 from orbifold_hkr.exact import (BiSeries, CapExceeded, InternalError, det_series_factor,
-                                mat_det, mat_inv, mat_mul, rational_matrix, transpose)
+                                hermite_form, mat_det, mat_inv, mat_mul, rational_matrix,
+                                transpose)
 from orbifold_hkr.groups import conjugacy_classes, generate
 from orbifold_hkr.hkr import (OracleSector, brute_force_invariants,
                               full_report, oracle_verdict, sector_hh_series,
@@ -912,7 +913,7 @@ def test_sym_images_are_shared_and_match_each_elements_expansion(zoo_groups):
 
 def test_hermite_basis_spans_exactly_the_lattice_of_its_generators():
     gens = [(4, 6, 2), (-2, 3, 5), (6, 0, 4), (0, 9, -3), (2, 2, 2), (0, 0, -7)]
-    basis = hkr._hermite_basis(gens, 3)
+    basis = hermite_form(gens, 3)
     for c, row in enumerate(basis):
         assert not any(row[:c]) and row[c] > 0
         assert all(0 <= basis[r][c] < row[c] for r in range(c))
